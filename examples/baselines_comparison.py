@@ -91,8 +91,8 @@ def main() -> None:
         ("hdk", "the paper's model", {}),
         (
             "hdk_disk",
-            "HDK from disk, 500-posting RAM budget",
-            {"memory_budget": 500},
+            "HDK from disk, 2 KB RAM budget",
+            {"memory_budget_bytes": 2_000},
         ),
         ("centralized", "single-node oracle, zero network", {}),
     ]:

@@ -85,13 +85,6 @@ def _add_hdk_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, default=8)
     parser.add_argument("--s-max", type=int, default=3)
     parser.add_argument("--ff", type=int, default=10_000)
-    parser.add_argument("--peers", type=int, default=8)
-    parser.add_argument(
-        "--mode",
-        choices=["hdk", "single_term"],
-        default="hdk",
-        help="indexing model (legacy alias; prefer --backend)",
-    )
     parser.add_argument(
         "--overlay", choices=["chord", "pgrid"], default="chord"
     )
@@ -155,19 +148,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--link-latency must be >= 0, got {args.link_latency}"
         )
-    if args.memory_budget is not None and args.memory_budget < 0:
-        raise SystemExit(
-            f"--memory-budget must be >= 0, got {args.memory_budget}"
-        )
     if args.memory_budget_bytes is not None and args.memory_budget_bytes < 0:
         raise SystemExit(
             "--memory-budget-bytes must be >= 0, got "
             f"{args.memory_budget_bytes}"
-        )
-    if args.memory_budget is not None and args.memory_budget_bytes is not None:
-        raise SystemExit(
-            "pass either --memory-budget-bytes or the deprecated "
-            "--memory-budget, not both"
         )
     if args.overlay_fanout < 1:
         raise SystemExit(
@@ -207,7 +191,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         service = SearchService.load(
             args.load,
             backend=args.backend,
-            memory_budget=args.memory_budget,
             memory_budget_bytes=args.memory_budget_bytes,
             wal=args.wal,
             cache_capacity=None if args.no_cache else args.cache_capacity,
@@ -231,12 +214,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         service = SearchService.build(
             collection,
             num_peers=args.peers,
-            backend=args.backend or args.mode,
+            backend=args.backend or "hdk",
             params=params,
             overlay=args.overlay,
             cache_capacity=None if args.no_cache else args.cache_capacity,
             store_dir=args.store_dir,
-            memory_budget=args.memory_budget,
             memory_budget_bytes=args.memory_budget_bytes,
             wal=args.wal,
             overlay_fanout=args.overlay_fanout,
@@ -381,7 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     spec = WorkerSpec(
         snapshot=str(args.snapshot),
         backend=args.backend,
-        memory_budget=args.memory_budget,
         memory_budget_bytes=args.memory_budget_bytes,
         cache_capacity=args.cache_capacity or None,
         link_latency_s=args.link_latency,
@@ -452,6 +433,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         corpus_config=corpus,
         df_max_values=tuple(args.df_max_values),
         num_queries=args.queries,
+        overlay=args.overlay,
         backends=tuple(args.backends),
     ).run()
     print(render_growth_table(results))
@@ -527,7 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(stats)
     stats.set_defaults(handler=_cmd_stats)
 
-    search = subparsers.add_parser("search", help="index and query")
+    # Exact flag names on search/serve: with prefix matching, a flag
+    # that merely prefixes --memory-budget-bytes would silently be read
+    # as a byte budget instead of being rejected.
+    search = subparsers.add_parser(
+        "search", help="index and query", allow_abbrev=False
+    )
     _add_corpus_options(search)
     _add_hdk_options(search)
     search.add_argument(
@@ -536,12 +523,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="query string (omit when using --batch)",
     )
+    search.add_argument("--peers", type=int, default=8)
     search.add_argument("--top", type=int, default=10)
     search.add_argument(
         "--backend",
         choices=registry.names(),
         default=None,
-        help="retrieval backend (overrides --mode)",
+        help="retrieval backend (default: hdk when building, the "
+        "snapshot's backend with --load)",
     )
     search.add_argument(
         "--batch",
@@ -596,14 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="segment-store directory for the hdk_disk backend "
         "(default: a private temporary directory)",
-    )
-    search.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="POSTINGS",
-        help="deprecated posting-count RAM budget of the hdk_disk "
-        "backend; prefer --memory-budget-bytes",
     )
     search.add_argument(
         "--memory-budget-bytes",
@@ -710,6 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="HTTP gateway over a pool of snapshot-loaded worker "
         "processes",
+        allow_abbrev=False,
     )
     serve.add_argument(
         "--snapshot",
@@ -756,14 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=registry.names(),
         default=None,
         help="override the snapshot manifest's backend for the workers",
-    )
-    serve.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="POSTINGS",
-        help="deprecated per-worker posting-count RAM budget "
-        "(hdk_disk backend); prefer --memory-budget-bytes",
     )
     serve.add_argument(
         "--memory-budget-bytes",

@@ -5,8 +5,9 @@
 - :mod:`repro.hdk.classify` — DK/NDK classification (Definitions 3-5),
 - :mod:`repro.hdk.generator` — per-peer iterative key generation using
   global statuses learned through NDK notifications,
-- :mod:`repro.hdk.indexer` — the distributed indexing driver that runs the
-  generation rounds against the global index.
+- :mod:`repro.hdk.indexer` — the per-peer indexing role that runs the
+  generation rounds against the global index (driven by
+  :class:`repro.indexing.IndexingPipeline`).
 """
 
 from .classify import classify_df, is_discriminative
@@ -16,12 +17,7 @@ from .filters import (
     proximity_candidates,
 )
 from .generator import GenerationRound, LocalHDKGenerator
-from .indexer import (
-    IndexingReport,
-    PeerIndexer,
-    run_distributed_indexing,
-    run_incremental_join,
-)
+from .indexer import IndexingReport, PeerIndexer
 from .keys import make_key, subkeys_of_size, superkeys_within
 
 __all__ = [
@@ -34,8 +30,6 @@ __all__ = [
     "LocalHDKGenerator",
     "IndexingReport",
     "PeerIndexer",
-    "run_distributed_indexing",
-    "run_incremental_join",
     "make_key",
     "subkeys_of_size",
     "superkeys_within",

@@ -1,4 +1,4 @@
-"""The distributed HDK indexing driver.
+"""The per-peer HDK indexing role.
 
 Runs the per-peer generation rounds against the global index: every peer
 publishes its term statistics, then — round by round, size 1 through
@@ -27,10 +27,10 @@ without changing a single byte of its outcome:
   NDK transitions, notification fan-out), always executed in the
   sequential protocol's deterministic peer order.
 
-The classic one-shot surfaces (:meth:`PeerIndexer.publish_statistics`,
-:meth:`PeerIndexer.run_round`, :func:`run_distributed_indexing`,
-:func:`run_incremental_join`) compose the phases in place and remain the
-reference sequential protocol.
+The one-shot surfaces (:meth:`PeerIndexer.publish_statistics`,
+:meth:`PeerIndexer.run_round`) compose the phases in place;
+:class:`repro.indexing.IndexingPipeline` drives whole builds and joins
+(with ``workers=1`` it is the reference sequential protocol).
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ __all__ = [
     "IndexingReport",
     "PeerIndexer",
     "PeerStatistics",
-    "run_distributed_indexing",
-    "run_incremental_join",
 ]
 
 
@@ -361,46 +359,6 @@ class PeerIndexer:
         )
 
 
-def run_incremental_join(
-    existing_indexers: list[PeerIndexer],
-    joining_indexers: list[PeerIndexer],
-    params: HDKParameters,
-) -> list[IndexingReport]:
-    """Index newly joined peers into an already-built global index.
-
-    This is the paper's actual growth protocol ("peers joining the
-    network and increasing the document collection"): the joining peers
-    run the normal generation rounds over their local documents, and any
-    existing key their inserts push over ``DF_max`` triggers NDK
-    notifications — the contributing peers then *expand* the key with
-    additional co-occurring terms, which may cascade into further
-    transitions until the index is quiescent.
-
-    Because document frequencies only grow, the NDK set is monotone and
-    the cascade terminates; the resulting global index is identical to a
-    fresh rebuild over the union collection with the same peer partition
-    (verified by the integration tests) — with one documented exception:
-    when a term's collection frequency crosses ``F_f`` *during* growth, a
-    rebuild excludes it from the key vocabulary (the paper's
-    collection-dependent stop words "increase with l"), while the live
-    system retains the keys indexed before the crossing and existing
-    peers keep expanding with them.  The incremental index is then a
-    strict superset of the rebuilt one; every common key still agrees
-    exactly on status, df, and postings.  Retiring such keys is the
-    "adaptive parameters" future work the paper's conclusion sketches.
-
-    Delegates to a single-worker :class:`repro.indexing.IndexingPipeline`
-    (the sequential reference execution of the shared build path).
-
-    Returns the reports of the joining peers.
-    """
-    from ..indexing.pipeline import IndexingPipeline
-
-    return IndexingPipeline().join(
-        existing_indexers, joining_indexers, params
-    )
-
-
 def run_expansion_cascade(
     indexers: list[PeerIndexer],
     global_index: GlobalKeyIndex,
@@ -463,34 +421,6 @@ def run_expansion_cascade(
         pending = global_index.drain_transitions()
 
 
-#: Back-compat alias (pre-pipeline private name).
-_run_expansion_cascade = run_expansion_cascade
-
-
-def run_distributed_indexing(
-    indexers: list[PeerIndexer],
-    params: HDKParameters,
-) -> list[IndexingReport]:
-    """Execute the full collaborative indexing protocol.
-
-    Phase order matches the prototype: statistics publication first (so
-    very frequent terms are known globally), then rounds of increasing key
-    size with a *global status reconciliation* after each round — peers
-    whose proposed key became NDK through a later peer's insert are brought
-    up to date, standing in for asynchronous NDK notifications.
-
-    Delegates to a single-worker :class:`repro.indexing.IndexingPipeline`
-    (the sequential reference execution of the shared build path; pass a
-    pipeline with ``workers > 1`` for the sharded multi-core build,
-    which is byte-identical by construction).
-
-    Returns each peer's :class:`IndexingReport`.
-    """
-    from ..indexing.pipeline import IndexingPipeline
-
-    return IndexingPipeline().build(indexers, params)
-
-
 def entry_of(global_index: GlobalKeyIndex, key: frozenset[str]):
     """Read a stored entry without logging retrieval traffic (round
     reconciliation piggybacks on the already-logged notifications)."""
@@ -500,7 +430,3 @@ def entry_of(global_index: GlobalKeyIndex, key: frozenset[str]):
         if storage.peer_id == target:
             return storage.get(key)
     return None
-
-
-#: Back-compat alias (pre-pipeline private name).
-_entry_of = entry_of

@@ -24,8 +24,7 @@ sequential order — the resulting :class:`~repro.index.global_index.GlobalKeyIn
 contents, term-statistics directory (including iteration order), per-peer
 :class:`~repro.hdk.indexer.IndexingReport` fields, and global traffic
 totals are **byte-identical at any worker/shard count**, including
-``workers=1`` (which is also the execution behind the classic
-:func:`repro.hdk.indexer.run_distributed_indexing`).  For ``hdk_disk``,
+``workers=1``, the sequential reference execution.  For ``hdk_disk``,
 spill flushes ride the apply stage, so segment writes are serialized
 through the :class:`~repro.store.store.SegmentStore` without ever
 blocking extraction.
@@ -152,12 +151,25 @@ class IndexingPipeline:
     ) -> list[IndexingReport]:
         """Index newly joined peers into an already-built global index.
 
-        The joining peers run the normal generation rounds (extraction
-        and transmission sharded exactly like :meth:`build`); the
-        NDK-expansion cascade that reconciles the grown index then runs
-        sequentially over existing + joining peers — see
-        :func:`repro.hdk.indexer.run_expansion_cascade` for why the
-        cascade is ordered work by construction.
+        This is the paper's growth protocol ("peers joining the network
+        and increasing the document collection"): the joining peers run
+        the normal generation rounds (extraction and transmission
+        sharded exactly like :meth:`build`), and any existing key their
+        inserts push over ``DF_max`` triggers NDK notifications — the
+        contributing peers then *expand* the key with co-occurring
+        terms, which may cascade into further transitions.  The cascade
+        runs sequentially over existing + joining peers — see
+        :func:`repro.hdk.indexer.run_expansion_cascade` for why it is
+        ordered work by construction.
+
+        Document frequencies only grow, so the NDK set is monotone, the
+        cascade terminates, and the grown index equals a fresh rebuild
+        over the union collection with the same peer partition — except
+        when a term's collection frequency crosses ``F_f`` during
+        growth: a rebuild drops it from the key vocabulary, while the
+        live system keeps the keys indexed before the crossing.  The
+        incremental index is then a strict superset of the rebuilt one,
+        and every common key still agrees on status, df and postings.
 
         Returns the reports of the joining peers.
         """

@@ -1,22 +1,19 @@
 """Process-wide named metrics: counters, gauges, and histograms.
 
-This generalizes the serving tier's request metrics (PR 6) into a
-registry any layer can use without holding a reference to the gateway:
+This generalizes the serving tier's request metrics into a registry any
+layer can use without holding a reference to the gateway:
 :func:`get_hub` returns the process-wide :class:`MetricsHub`, and
 ``hub.counter("overlay.path_cache_hits").add()`` is the whole API.
 
-:class:`LatencyHistogram` moved here from :mod:`repro.serving.metrics`
-(which re-exports it unchanged for back-compat) and gained two pieces
-the serving tier needs for cross-worker aggregation:
+:class:`LatencyHistogram` carries two pieces the serving tier needs for
+cross-worker aggregation:
 
 - :meth:`LatencyHistogram.merge` — pool workers are separate processes,
   so each keeps its own histogram; the gateway merges their
   :meth:`to_state` snapshots into one distribution for ``/stats``.
 - within-bucket **linear interpolation** for :meth:`percentile_ms` —
-  the old estimate returned each bucket's upper bound, biasing every
-  percentile high by up to one bucket width; the interpolated estimate
-  assumes samples spread uniformly inside the bucket.  ``as_dict``'s
-  shape is unchanged.
+  samples are assumed to spread uniformly inside a bucket, so a
+  percentile is not biased high by up to one bucket width.
 """
 
 from __future__ import annotations

@@ -35,7 +35,8 @@ readiness probe flips unready immediately, new search requests are
 refused, every in-flight request runs to completion, and only then does
 the listener close — zero in-flight requests are dropped, and a load
 balancer watching ``/healthz`` stops routing before the socket goes
-away.
+away.  Keep-alive connections idling between requests are closed last,
+and the drain completes only once every connection handler returned.
 """
 
 from __future__ import annotations
@@ -181,6 +182,10 @@ class Gateway:
         self._draining = False
         self._drain_started = False
         self._inflight = 0
+        #: Running connection handlers, and the writers of those idling
+        #: in a request read (what the drain may close under them).
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self._buckets: dict[str, TokenBucket] = {}
         self._ready = threading.Event()
         self._finished = threading.Event()
@@ -268,6 +273,14 @@ class Gateway:
             await asyncio.sleep(0.005)
         assert self._server is not None
         self._server.close()
+        # Closing an idle connection hands its pending read an EOF, so
+        # the handler returns by itself instead of being cancelled
+        # mid-read when the loop shuts down; busy handlers finish their
+        # response (it carries Connection: close) and return too.
+        while self._handlers:
+            for writer in self._idle:
+                writer.close()
+            await asyncio.sleep(0.005)
         await self._server.wait_closed()
         self._stopped.set()
 
@@ -278,8 +291,11 @@ class Gateway:
     ) -> None:
         peer = writer.get_extra_info("peername")
         peer_ip = peer[0] if isinstance(peer, tuple) else "unknown"
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             while True:
+                self._idle.add(writer)
                 try:
                     request = await self._read_request(reader)
                 except _HttpError as error:
@@ -291,6 +307,8 @@ class Gateway:
                     ConnectionError,
                 ):
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break  # clean EOF between requests
                 method, path, headers, body = request
@@ -324,6 +342,8 @@ class Gateway:
                 await writer.wait_closed()
             except ConnectionError:
                 pass
+            finally:
+                self._handlers.discard(task)
 
     async def _read_request(
         self, reader: asyncio.StreamReader

@@ -84,8 +84,6 @@ class WorkerSpec:
             loads (read-only: N workers share one snapshot).
         backend: backend-name override for the load (``None`` keeps the
             snapshot manifest's backend, typically ``hdk_disk``).
-        memory_budget: deprecated posting-count RAM budget for
-            disk-backed workers; prefer ``memory_budget_bytes``.
         memory_budget_bytes: RAM residency budget for disk-backed
             workers, in encoded posting bytes.
         cache_capacity: per-worker LRU query-cache size.
@@ -98,7 +96,6 @@ class WorkerSpec:
 
     snapshot: str
     backend: str | None = None
-    memory_budget: int | None = None
     memory_budget_bytes: int | None = None
     cache_capacity: int | None = 256
     link_latency_s: float = 0.0
@@ -141,7 +138,6 @@ def _worker_main(
         service = SearchService.load(
             spec.snapshot,
             backend=spec.backend,
-            memory_budget=spec.memory_budget,
             memory_budget_bytes=spec.memory_budget_bytes,
             cache_capacity=spec.cache_capacity,
         )

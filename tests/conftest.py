@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
 Fixtures build a deterministic small-scale world: a synthetic collection,
-reduced HDK parameters, and pre-indexed engines.  Session scope is used
+reduced HDK parameters, and pre-indexed services.  Session scope is used
 for the expensive builds (indexing) that many tests only read from.
 """
 
@@ -18,7 +18,7 @@ _TESTS_DIR = str(Path(__file__).resolve().parent)
 if _TESTS_DIR not in sys.path:
     sys.path.insert(0, _TESTS_DIR)
 
-from repro import EngineMode, HDKParameters, P2PSearchEngine
+from repro import HDKParameters, SearchService
 from repro.corpus import (
     DocumentCollection,
     SyntheticCorpusConfig,
@@ -66,28 +66,30 @@ def tiny_collection() -> DocumentCollection:
     return build_collection_from_texts(docs)
 
 
-@pytest.fixture(scope="session")
-def hdk_engine(small_collection, small_params) -> P2PSearchEngine:
-    """A fully indexed HDK engine over the small collection (read-only:
-    tests must not mutate it)."""
-    engine = P2PSearchEngine.build(
-        small_collection, num_peers=4, params=small_params
-    )
-    engine.index()
-    return engine
-
-
-@pytest.fixture(scope="session")
-def st_engine(small_collection, small_params) -> P2PSearchEngine:
-    """A fully indexed single-term engine over the same collection."""
-    engine = P2PSearchEngine.build(
-        small_collection,
+def _indexed_service(collection, params, backend: str) -> SearchService:
+    # No result cache: every search pays (and reports) its traffic.
+    service = SearchService.build(
+        collection,
         num_peers=4,
-        params=small_params,
-        mode=EngineMode.SINGLE_TERM,
+        backend=backend,
+        params=params,
+        cache_capacity=None,
     )
-    engine.index()
-    return engine
+    service.index()
+    return service
+
+
+@pytest.fixture(scope="session")
+def hdk_service(small_collection, small_params) -> SearchService:
+    """A fully indexed HDK service over the small collection (read-only:
+    tests must not mutate it)."""
+    return _indexed_service(small_collection, small_params, "hdk")
+
+
+@pytest.fixture(scope="session")
+def st_service(small_collection, small_params) -> SearchService:
+    """A fully indexed single-term service over the same collection."""
+    return _indexed_service(small_collection, small_params, "single_term")
 
 
 def make_document(doc_id: int, tokens: list[str]) -> Document:

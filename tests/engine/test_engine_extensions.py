@@ -1,4 +1,4 @@
-"""Tests for engine extensions: byte-level size, ST-mode growth."""
+"""Tests for engine extensions: ST-mode growth."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.errors import ConfigurationError
 
 
@@ -24,75 +24,36 @@ def collection():
     return SyntheticCorpusGenerator(config, seed=19).generate(80)
 
 
-class TestStoredIndexBytes:
-    def test_bytes_positive_after_indexing(self, collection):
-        engine = P2PSearchEngine.build(collection, num_peers=2, params=PARAMS)
-        engine.index()
-        size = engine.stored_index_bytes()
-        assert size > 0
-        # Varint-encoded postings cost a handful of bytes each; the byte
-        # size must be within a plausible band of the posting count.
-        postings = engine.stored_postings_total()
-        assert postings < size < postings * 30
-
-    def test_bytes_track_posting_count(self, collection):
-        small = P2PSearchEngine.build(
-            collection, num_peers=2, params=PARAMS.with_df_max(2)
-        )
-        small.index()
-        large = P2PSearchEngine.build(
-            collection, num_peers=2, params=PARAMS.with_df_max(20)
-        )
-        large.index()
-        if (
-            small.stored_postings_total()
-            < large.stored_postings_total()
-        ):
-            assert small.stored_index_bytes() < large.stored_index_bytes()
-        else:
-            assert (
-                small.stored_index_bytes() >= large.stored_index_bytes()
-            )
-
-    def test_single_term_mode_bytes(self, collection):
-        engine = P2PSearchEngine.build(
-            collection,
-            num_peers=2,
-            params=PARAMS,
-            mode=EngineMode.SINGLE_TERM,
-        )
-        engine.index()
-        assert engine.stored_index_bytes() > 0
-
-
 class TestSingleTermGrowth:
     def test_add_peers_in_st_mode(self, collection):
         ids = collection.doc_ids()
         first = collection.subset(ids[:40])
         second = collection.subset(ids[40:])
-        engine = P2PSearchEngine.build(
+        service = SearchService.build(
             first,
             num_peers=2,
+            backend="single_term",
             params=PARAMS,
-            mode=EngineMode.SINGLE_TERM,
+            cache_capacity=None,
         )
-        engine.index()
-        before = engine.stored_postings_total()
-        reports = engine.add_peers(second, num_new_peers=2)
+        service.index()
+        before = service.stored_postings_total()
+        reports = service.add_peers(second, num_new_peers=2)
         assert len(reports) == 2
-        assert engine.stored_postings_total() > before
-        assert len(engine.peers) == 4
+        assert service.stored_postings_total() > before
+        assert len(service.peers) == 4
         # New documents are retrievable.
-        result = engine.search("t00001 t00002", k=10)
+        result = service.search("t00001 t00002", k=10)
         assert result.postings_transferred > 0
 
     def test_add_peers_invalid_count(self, collection):
-        engine = P2PSearchEngine.build(
+        service = SearchService.build(
             collection,
             num_peers=2,
+            backend="single_term",
             params=PARAMS,
-            mode=EngineMode.SINGLE_TERM,
+            cache_capacity=None,
         )
-        engine.index()
+        service.index()
         with pytest.raises(ConfigurationError):
-            engine.add_peers(collection, 0)
+            service.add_peers(collection, 0)

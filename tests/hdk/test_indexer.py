@@ -8,8 +8,9 @@ from repro.config import HDKParameters
 from repro.corpus.collection import DocumentCollection
 from repro.corpus.document import Document
 from repro.errors import KeyGenerationError
-from repro.hdk.indexer import PeerIndexer, run_distributed_indexing
+from repro.hdk.indexer import PeerIndexer
 from repro.index.global_index import GlobalKeyIndex, KeyStatus
+from repro.indexing import IndexingPipeline
 from repro.net.network import P2PNetwork
 
 
@@ -93,7 +94,7 @@ class TestCollaborativeProtocol:
             "p1": [["a", "d"], ["a", "e"]],
         }
         _, gi, indexers = make_world(world)
-        run_distributed_indexing(indexers, PARAMS)
+        IndexingPipeline().build(indexers, PARAMS)
         entry = gi.lookup("p0", key("a"))
         assert entry.status is KeyStatus.NON_DISCRIMINATIVE
         assert entry.global_df == 4
@@ -106,7 +107,7 @@ class TestCollaborativeProtocol:
             "p1": [["a", "d"], ["a", "e"]],
         }
         _, gi, indexers = make_world(world)
-        run_distributed_indexing(indexers, PARAMS)
+        IndexingPipeline().build(indexers, PARAMS)
         assert indexers[0].known_ndk_count(1) >= 1
 
     def test_expansion_generates_multiterm_hdks(self):
@@ -117,7 +118,7 @@ class TestCollaborativeProtocol:
             "p1": [["a", "z"], ["b", "w"], ["a", "b"]],
         }
         _, gi, indexers = make_world(world)
-        run_distributed_indexing(indexers, PARAMS)
+        IndexingPipeline().build(indexers, PARAMS)
         entry = gi.lookup("p0", key("a", "b"))
         assert entry is not None
         assert entry.global_df == 2
@@ -125,12 +126,12 @@ class TestCollaborativeProtocol:
 
     def test_empty_indexer_list_rejected(self):
         with pytest.raises(KeyGenerationError):
-            run_distributed_indexing([], PARAMS)
+            IndexingPipeline().build([], PARAMS)
 
     def test_reports_returned_per_peer(self):
         world = {"p0": [["a"]], "p1": [["b"]]}
         _, gi, indexers = make_world(world)
-        reports = run_distributed_indexing(indexers, PARAMS)
+        reports = IndexingPipeline().build(indexers, PARAMS)
         assert [r.peer_name for r in reports] == ["p0", "p1"]
 
     def test_learn_status_external(self):

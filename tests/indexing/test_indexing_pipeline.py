@@ -11,7 +11,7 @@ from repro.corpus.synthetic import (
 )
 from repro.engine.service import SearchService, spawn_peers
 from repro.errors import ConfigurationError, KeyGenerationError
-from repro.hdk.indexer import PeerIndexer, run_distributed_indexing
+from repro.hdk.indexer import PeerIndexer
 from repro.index.global_index import GlobalKeyIndex
 from repro.indexing import (
     IndexingPipeline,
@@ -106,10 +106,10 @@ class TestPipelineExecution:
         assert build_fingerprint(index_a) == build_fingerprint(index_b)
 
     def test_wrapper_is_single_worker_pipeline(self, collection):
-        """The classic entry point and an explicit sequential pipeline
-        are the same execution."""
+        """The default pipeline and an explicit single-worker one are
+        the same sequential execution."""
         net_a, index_a, indexers_a = _world(collection)
-        reports_a = run_distributed_indexing(indexers_a, PARAMS)
+        reports_a = IndexingPipeline().build(indexers_a, PARAMS)
         net_b, index_b, indexers_b = _world(collection)
         reports_b = IndexingPipeline(workers=1).build(indexers_b, PARAMS)
         assert build_fingerprint(

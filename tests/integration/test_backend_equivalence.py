@@ -41,7 +41,7 @@ NUM_PEERS = 6
 #: hierarchy has several clusters.
 BACKENDS: dict[str, dict] = {
     "hdk": {},
-    "hdk_disk": {"memory_budget": 400},
+    "hdk_disk": {"memory_budget_bytes": 1_600},
     "hdk_super": {"overlay_fanout": 2},
 }
 
@@ -99,6 +99,9 @@ def test_worker_count_is_byte_identical(
         index_workers=workers,
         **kwargs,
     )
+    if backend == "hdk_disk":
+        spill = sequential.backend.global_index.spill_stats()
+        assert spill["spills"] > 0, "the budget should force spilling"
     assert_fingerprints_equal(
         service_fingerprint(sequential, strict=True),
         service_fingerprint(parallel, strict=True),

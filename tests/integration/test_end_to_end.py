@@ -7,7 +7,7 @@ import pytest
 from repro.config import HDKParameters
 from repro.corpus import build_collection_from_texts
 from repro.corpus.querylog import QueryLogGenerator
-from repro.engine.p2p_engine import EngineMode, P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.net.accounting import Phase
 from repro.retrieval.centralized import CentralizedBM25Engine
 from repro.retrieval.metrics import top_k_overlap
@@ -36,8 +36,8 @@ class TestRealTextWorld:
         params = HDKParameters(
             df_max=2, window_size=6, s_max=3, ff=1_000, fr=1
         )
-        engine = P2PSearchEngine.build(
-            collection, num_peers=3, params=params
+        engine = SearchService.build(
+            collection, num_peers=3, params=params, cache_capacity=None
         )
         engine.index()
         return collection, engine
@@ -75,8 +75,11 @@ class TestQualityAgainstCentralized:
     """Figure-7-style comparison on the shared synthetic world."""
 
     def test_overlap_reasonable(self, small_collection, small_params):
-        engine = P2PSearchEngine.build(
-            small_collection, num_peers=4, params=small_params
+        engine = SearchService.build(
+            small_collection,
+            num_peers=4,
+            params=small_params,
+            cache_capacity=None,
         )
         engine.index()
         centralized = CentralizedBM25Engine(small_collection)
@@ -111,8 +114,11 @@ class TestQualityAgainstCentralized:
             params = HDKParameters(
                 df_max=df_max, window_size=8, s_max=3, ff=3_000, fr=3
             )
-            engine = P2PSearchEngine.build(
-                small_collection, num_peers=4, params=params
+            engine = SearchService.build(
+                small_collection,
+                num_peers=4,
+                params=params,
+                cache_capacity=None,
             )
             engine.index()
             overlaps = [
@@ -127,14 +133,14 @@ class TestQualityAgainstCentralized:
         assert means[1] > means[0] + 10.0
 
     def test_single_term_mode_matches_centralized(
-        self, st_engine, small_collection
+        self, st_service, small_collection
     ):
         centralized = CentralizedBM25Engine(small_collection)
         queries = QueryLogGenerator(
             small_collection, window_size=8, min_hits=5, seed=22
         ).generate(10)
         for query in queries:
-            distributed = st_engine.search(query, k=10)
+            distributed = st_service.search(query, k=10)
             reference = centralized.search(query, k=10)
             assert (
                 top_k_overlap(distributed.results, reference, k=10)
@@ -146,28 +152,28 @@ class TestTrafficShapes:
     """Figures 4/6 shapes on the shared engines."""
 
     def test_hdk_indexing_costlier_retrieval_cheaper(
-        self, hdk_engine, st_engine, small_collection
+        self, hdk_service, st_service, small_collection
     ):
         assert (
-            hdk_engine.inserted_postings_total()
-            > st_engine.inserted_postings_total()
+            hdk_service.inserted_postings_total()
+            > st_service.inserted_postings_total()
         )
         queries = QueryLogGenerator(
             small_collection, window_size=8, min_hits=5, seed=23
         ).generate(10)
         hdk_traffic = sum(
-            hdk_engine.search(q).postings_transferred for q in queries
+            hdk_service.search(q).postings_transferred for q in queries
         )
         st_traffic = sum(
-            st_engine.search(q).postings_transferred for q in queries
+            st_service.search(q).postings_transferred for q in queries
         )
         assert hdk_traffic < st_traffic
 
-    def test_hdk_retrieval_bounded(self, hdk_engine, small_collection):
+    def test_hdk_retrieval_bounded(self, hdk_service, small_collection):
         queries = QueryLogGenerator(
             small_collection, window_size=8, min_hits=5, seed=24
         ).generate(10)
         for query in queries:
-            result = hdk_engine.search(query)
-            bound = result.keys_looked_up * hdk_engine.params.df_max
+            result = hdk_service.search(query)
+            bound = result.keys_looked_up * hdk_service.params.df_max
             assert result.postings_transferred <= bound

@@ -18,9 +18,9 @@ from repro.errors import (
     PeerNotFoundError,
     ReproError,
 )
-from repro.hdk.indexer import run_incremental_join
 from repro.index.global_index import GlobalKeyIndex
 from repro.index.postings import PostingList
+from repro.indexing import IndexingPipeline
 from repro.net.network import P2PNetwork
 
 
@@ -87,28 +87,29 @@ class TestGlobalIndexMisuse:
 class TestProtocolMisuse:
     def test_incremental_join_without_joining_peers(self):
         with pytest.raises(KeyGenerationError):
-            run_incremental_join([], [], PARAMS)
+            IndexingPipeline().join([], [], PARAMS)
 
     def test_engine_rejects_empty_peer_list(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
         from repro.net.network import P2PNetwork as Net
         from repro.text.pipeline import TextPipeline
-        from repro.engine.p2p_engine import EngineMode
 
         with pytest.raises(ConfigurationError):
-            P2PSearchEngine(
+            SearchService(
                 peers=[],
                 network=Net(),
                 params=PARAMS,
-                mode=EngineMode.HDK,
                 pipeline=TextPipeline(),
             )
 
     def test_search_with_unknown_source_peer(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
 
-        engine = P2PSearchEngine.build(
-            small_collection(), num_peers=1, params=PARAMS
+        engine = SearchService.build(
+            small_collection(),
+            num_peers=1,
+            params=PARAMS,
+            cache_capacity=None,
         )
         engine.index()
         with pytest.raises(PeerNotFoundError):
@@ -117,21 +118,27 @@ class TestProtocolMisuse:
 
 class TestQueryEdgeCases:
     def test_all_stopword_query(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
         from repro.errors import RetrievalError
 
-        engine = P2PSearchEngine.build(
-            small_collection(), num_peers=1, params=PARAMS
+        engine = SearchService.build(
+            small_collection(),
+            num_peers=1,
+            params=PARAMS,
+            cache_capacity=None,
         )
         engine.index()
         with pytest.raises(RetrievalError):
             engine.search("the of and")
 
     def test_query_of_only_unknown_terms_returns_empty(self):
-        from repro.engine.p2p_engine import P2PSearchEngine
+        from repro.engine.service import SearchService
 
-        engine = P2PSearchEngine.build(
-            small_collection(), num_peers=1, params=PARAMS
+        engine = SearchService.build(
+            small_collection(),
+            num_peers=1,
+            params=PARAMS,
+            cache_capacity=None,
         )
         engine.index()
         result = engine.search("zzzz qqqq")

@@ -18,14 +18,11 @@ from repro.corpus.synthetic import (
     SyntheticCorpusConfig,
     SyntheticCorpusGenerator,
 )
-from repro.engine.p2p_engine import P2PSearchEngine
+from repro.engine.service import SearchService
 from repro.errors import ConfigurationError
-from repro.hdk.indexer import (
-    PeerIndexer,
-    run_distributed_indexing,
-    run_incremental_join,
-)
+from repro.hdk.indexer import PeerIndexer
 from repro.index.global_index import GlobalKeyIndex
+from repro.indexing import IndexingPipeline
 from repro.net.network import P2PNetwork
 
 
@@ -42,7 +39,7 @@ def build_fresh(peer_collections: dict[str, DocumentCollection]):
         indexers.append(
             PeerIndexer(name, collection, global_index, PARAMS)
         )
-    run_distributed_indexing(indexers, PARAMS)
+    IndexingPipeline().build(indexers, PARAMS)
     return global_index
 
 
@@ -59,14 +56,14 @@ def build_incremental(
         initial_indexers.append(
             PeerIndexer(name, collection, global_index, PARAMS)
         )
-    run_distributed_indexing(initial_indexers, PARAMS)
+    IndexingPipeline().build(initial_indexers, PARAMS)
     joining_indexers = []
     for name, collection in joining.items():
         network.add_peer(name)
         joining_indexers.append(
             PeerIndexer(name, collection, global_index, PARAMS)
         )
-    run_incremental_join(initial_indexers, joining_indexers, PARAMS)
+    IndexingPipeline().join(initial_indexers, joining_indexers, PARAMS)
     return global_index
 
 
@@ -156,7 +153,9 @@ class TestEngineAddPeers:
         params = HDKParameters(
             df_max=5, window_size=6, s_max=3, ff=5_000, fr=2
         )
-        engine = P2PSearchEngine.build(first, num_peers=2, params=params)
+        engine = SearchService.build(
+            first, num_peers=2, params=params, cache_capacity=None
+        )
         engine.index()
         engine.add_peers(second, num_new_peers=2)
         return engine, corpus, params
@@ -179,8 +178,10 @@ class TestEngineAddPeers:
             indexers.append(
                 PeerIndexer(name, peer.collection, fresh_index, params)
             )
-        run_distributed_indexing(indexers, params)
-        assert index_state(engine.global_index) == index_state(fresh_index)
+        IndexingPipeline().build(indexers, params)
+        assert index_state(engine.backend.global_index) == index_state(
+            fresh_index
+        )
 
     def test_search_works_after_growth(self, grown_engine):
         engine, _, _ = grown_engine
@@ -192,6 +193,8 @@ class TestEngineAddPeers:
             vocabulary_size=150, mean_doc_length=20, num_topics=4
         )
         corpus = SyntheticCorpusGenerator(config, seed=1).generate(20)
-        engine = P2PSearchEngine.build(corpus, num_peers=2, params=PARAMS)
+        engine = SearchService.build(
+            corpus, num_peers=2, params=PARAMS, cache_capacity=None
+        )
         with pytest.raises(ConfigurationError):
             engine.add_peers(corpus, 1)

@@ -16,8 +16,9 @@ from repro.config import HDKParameters
 from repro.corpus.collection import DocumentCollection
 from repro.corpus.document import Document
 from repro.hdk.generator import LocalHDKGenerator
-from repro.hdk.indexer import PeerIndexer, run_distributed_indexing
+from repro.hdk.indexer import PeerIndexer
 from repro.index.global_index import GlobalKeyIndex, KeyStatus
+from repro.indexing import IndexingPipeline
 from repro.net.network import P2PNetwork
 
 
@@ -45,7 +46,7 @@ def build_world(docs_tokens):
         indexers.append(
             PeerIndexer(name, collection, global_index, params)
         )
-    run_distributed_indexing(indexers, params)
+    IndexingPipeline().build(indexers, params)
     full = DocumentCollection(
         Document(doc_id=i, tokens=tuple(toks))
         for i, toks in enumerate(docs_tokens)

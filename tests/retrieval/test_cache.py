@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.corpus.querylog import Query
+from repro.engine.service import SearchService
 from repro.errors import RetrievalError
-from repro.retrieval.cache import CachingSearchEngine
+from repro.retrieval.cache import QueryResultCache
 from repro.retrieval.hdk_engine import HDKSearchResult
 from repro.retrieval.ranking import RankedResult
 
@@ -32,107 +33,126 @@ def q(*terms, query_id=0):
     return Query(query_id=query_id, terms=tuple(sorted(terms)))
 
 
+def search(cache, engine, query, k=20):
+    """Cache-aside lookup, the way :class:`SearchService` drives the
+    cache: serve a hit, else compute and fill."""
+    payload = cache.get(query, k)
+    if payload is None:
+        payload = engine.search(query, k=k)
+        cache.put(query, k, payload, payload.postings_transferred)
+    return payload
+
+
 class TestCaching:
     def test_first_query_misses(self):
-        cache = CachingSearchEngine(FakeEngine())
-        cache.search(q("a", "b"))
+        cache = QueryResultCache()
+        search(cache, FakeEngine(), q("a", "b"))
         assert cache.stats.misses == 1
         assert cache.stats.hits == 0
 
     def test_repeat_query_hits(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine)
-        cache.search(q("a", "b"))
-        cache.search(q("a", "b"))
+        cache = QueryResultCache()
+        search(cache, engine, q("a", "b"))
+        search(cache, engine, q("a", "b"))
         assert engine.calls == 1
         assert cache.stats.hits == 1
 
     def test_hit_has_zero_traffic_and_saves_counted(self):
-        cache = CachingSearchEngine(FakeEngine())
-        cache.search(q("a", "b"))
-        hit = cache.search(q("a", "b"))
-        assert hit.postings_transferred == 0
+        engine = FakeEngine()
+        cache = QueryResultCache()
+        first = search(cache, engine, q("a", "b"))
+        hit = search(cache, engine, q("a", "b"))
+        assert hit is first
+        assert engine.calls == 1  # the hit never reached the network
         assert cache.stats.postings_saved == 40
 
     def test_term_order_irrelevant(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine)
-        cache.search(q("a", "b"))
-        cache.search(q("b", "a", query_id=9))
+        cache = QueryResultCache()
+        search(cache, engine, q("a", "b"))
+        search(cache, engine, q("b", "a", query_id=9))
         assert engine.calls == 1
 
     def test_shallower_k_served_from_deeper_cache(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine)
-        cache.search(q("a"), k=20)
-        clipped = cache.search(q("a"), k=5)
+        cache = QueryResultCache()
+        search(cache, engine, q("a"), k=20)
+        deeper = search(cache, engine, q("a"), k=5)
         assert engine.calls == 1
-        assert len(clipped.results) == 5
+        assert len(deeper.results) == 20  # callers clip to k
 
     def test_deeper_k_misses(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine)
-        cache.search(q("a"), k=5)
-        cache.search(q("a"), k=20)
+        cache = QueryResultCache()
+        search(cache, engine, q("a"), k=5)
+        search(cache, engine, q("a"), k=20)
         assert engine.calls == 2
 
     def test_lru_eviction(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine, capacity=2)
-        cache.search(q("a"))
-        cache.search(q("b"))
-        cache.search(q("c"))  # evicts 'a'
+        cache = QueryResultCache(capacity=2)
+        search(cache, engine, q("a"))
+        search(cache, engine, q("b"))
+        search(cache, engine, q("c"))  # evicts 'a'
         assert cache.stats.evictions == 1
-        cache.search(q("a"))  # miss again
+        search(cache, engine, q("a"))  # miss again
         assert engine.calls == 4
 
     def test_lru_order_refreshed_on_hit(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine, capacity=2)
-        cache.search(q("a"))
-        cache.search(q("b"))
-        cache.search(q("a"))  # refresh 'a'
-        cache.search(q("c"))  # evicts 'b', not 'a'
-        cache.search(q("a"))
+        cache = QueryResultCache(capacity=2)
+        search(cache, engine, q("a"))
+        search(cache, engine, q("b"))
+        search(cache, engine, q("a"))  # refresh 'a'
+        search(cache, engine, q("c"))  # evicts 'b', not 'a'
+        search(cache, engine, q("a"))
         assert cache.stats.hits == 2
 
     def test_invalidate(self):
         engine = FakeEngine()
-        cache = CachingSearchEngine(engine)
-        cache.search(q("a"))
+        cache = QueryResultCache()
+        search(cache, engine, q("a"))
         cache.invalidate()
         assert len(cache) == 0
-        cache.search(q("a"))
+        search(cache, engine, q("a"))
         assert engine.calls == 2
 
     def test_hit_rate(self):
-        cache = CachingSearchEngine(FakeEngine())
+        engine = FakeEngine()
+        cache = QueryResultCache()
         assert cache.stats.hit_rate == 0.0
-        cache.search(q("a"))
-        cache.search(q("a"))
+        search(cache, engine, q("a"))
+        search(cache, engine, q("a"))
         assert cache.stats.hit_rate == 0.5
 
     def test_invalid_capacity(self):
         with pytest.raises(RetrievalError):
-            CachingSearchEngine(FakeEngine(), capacity=0)
+            QueryResultCache(capacity=0)
 
     def test_invalid_k(self):
-        cache = CachingSearchEngine(FakeEngine())
+        cache = QueryResultCache()
         with pytest.raises(RetrievalError):
-            cache.search(q("a"), k=0)
+            search(cache, FakeEngine(), q("a"), k=0)
 
 
 class TestWithRealEngine:
-    def test_cache_over_hdk_engine(self, hdk_engine):
-        cache = CachingSearchEngine(hdk_engine)
-        query = Query(query_id=0, terms=("t00042", "t00137"))
-        first = cache.search(query, k=10)
-        second = cache.search(query, k=10)
+    def test_cache_over_hdk_engine(self, tiny_collection, small_params):
+        service = SearchService.build(
+            tiny_collection, num_peers=2, params=small_params
+        )
+        service.index()
+        first = service.search("apple pie", k=10)
+        second = service.search("apple pie", k=10)
+        assert first.postings_transferred > 0
         assert [r.doc_id for r in first.results] == [
             r.doc_id for r in second.results
         ]
+        assert second.cache_hit
         assert second.postings_transferred == 0
-        assert cache.stats.postings_saved == first.postings_transferred
+        assert service.cache.stats.postings_saved == (
+            first.postings_transferred
+        )
 
 
 class TestQueryResultCacheThreadSafety:

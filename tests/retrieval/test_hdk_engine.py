@@ -8,8 +8,9 @@ from repro.config import HDKParameters
 from repro.corpus.collection import DocumentCollection
 from repro.corpus.document import Document
 from repro.corpus.querylog import Query
-from repro.hdk.indexer import PeerIndexer, run_distributed_indexing
+from repro.hdk.indexer import PeerIndexer
 from repro.index.global_index import GlobalKeyIndex
+from repro.indexing import IndexingPipeline
 from repro.net.accounting import Phase
 from repro.net.network import P2PNetwork
 from repro.retrieval.hdk_engine import HDKRetrievalEngine
@@ -31,7 +32,7 @@ def build_world(docs: list[tuple[str, ...]], params=PARAMS, peers=2):
         indexers.append(
             PeerIndexer(name, collections[p], global_index, params)
         )
-    run_distributed_indexing(indexers, params)
+    IndexingPipeline().build(indexers, params)
     return network, global_index, HDKRetrievalEngine(global_index, params)
 
 

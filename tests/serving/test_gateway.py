@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import threading
 import time
 from contextlib import contextmanager
@@ -291,6 +292,36 @@ class TestGracefulDrain:
             assert gateway.wait_finished(10.0)
             with pytest.raises(OSError):
                 http_request(url, "GET", "/healthz", timeout_s=2.0)
+
+    def test_drain_closes_idle_keepalive_connection_cleanly(
+        self, pool, caplog
+    ):
+        """A kept-open connection idling between requests must be
+        closed by the drain itself, not cancelled mid-read when the
+        event loop shuts down (which logs a CancelledError traceback)."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        gateway = Gateway(pool, GatewayConfig(port=0))
+        gateway.start_in_thread()
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", gateway.port, timeout=10
+        )
+        try:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            gateway.initiate_drain()
+            assert gateway.wait_finished(10.0)
+            gateway._thread.join(10.0)
+            assert not gateway._thread.is_alive()
+        finally:
+            connection.close()
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
 
 
 class TestConfigAndBucket:

@@ -1,18 +1,15 @@
-"""Byte-denominated budgets and their deprecated posting-count aliases.
+"""Byte-denominated RAM budgets.
 
-Generation 2 budgets RAM in **encoded bytes** at every layer — block
-cache (``cache_bytes``), hot residency (``memory_budget_bytes``),
-memtable (``memtable_bytes``) — while the paper-era posting-count knobs
-(``cache_postings``, ``memory_budget``) survive as deprecated aliases.
-This suite pins the alias contract: each alias warns exactly once at
-construction, mixing the two units of one budget is rejected, and —
-the part that actually matters — the budget unit only moves *where*
-postings live (RAM vs segments), never *what* any read returns.
+Every store layer budgets RAM in **encoded bytes**: the block cache
+(``cache_bytes``), hot residency (``memory_budget_bytes``) and the
+memtable (``memtable_bytes``).  Posting counts remain the paper's
+*measurement* unit (traffic, ``held_postings``, ``hot_postings``) but
+are no budget knob, and the old posting-count knobs are rejected like
+any unknown argument.  The part that matters most: a budget only moves
+*where* postings live (RAM vs segments), never *what* any read returns.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -23,9 +20,10 @@ from repro.corpus.synthetic import (
     SyntheticCorpusGenerator,
 )
 from repro.engine.service import SearchService
-from repro.errors import StoreError
 from repro.index.codec import posting_list_wire_size
 from repro.index.postings import Posting, PostingList
+from repro.net.chord import ChordOverlay
+from repro.net.network import P2PNetwork
 from repro.store.blockcache import BlockCache
 from repro.store.spill import (
     DEFAULT_MEMORY_BUDGET_BYTES,
@@ -40,18 +38,76 @@ CORPUS = SyntheticCorpusConfig(
     vocabulary_size=200, mean_doc_length=25, num_topics=4, zipf_skew=1.2
 )
 
+#: Corpus flags of a tiny ``repro search`` run.
+SEARCH = [
+    "search",
+    "t00001 t00002",
+    "--docs",
+    "30",
+    "--vocabulary",
+    "200",
+    "--peers",
+    "3",
+    "--df-max",
+    "5",
+    "--window",
+    "6",
+]
+
 
 def _postings(*doc_ids: int) -> PostingList:
     return PostingList(Posting(doc_id=doc_id, tf=1) for doc_id in doc_ids)
 
 
-class TestBlockCache:
-    def test_exactly_one_budget_required(self):
-        with pytest.raises(StoreError, match="exactly one"):
-            BlockCache()
-        with pytest.raises(StoreError, match="exactly one"):
-            BlockCache(10, capacity_bytes=1024)
+def _spilling_index(**kwargs) -> SpillingGlobalKeyIndex:
+    return SpillingGlobalKeyIndex(
+        P2PNetwork(overlay=ChordOverlay()), PARAMS, **kwargs
+    )
 
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(
+            lambda tmp: SegmentStore(tmp / "s", cache_postings=100),
+            id="SegmentStore-cache_postings",
+        ),
+        pytest.param(
+            lambda tmp: _spilling_index(
+                store_dir=tmp / "s", memory_budget=25
+            ),
+            id="SpillingGlobalKeyIndex-memory_budget",
+        ),
+        pytest.param(
+            lambda tmp: SearchService.build(
+                SyntheticCorpusGenerator(CORPUS, seed=1).generate(6),
+                num_peers=2,
+                backend="hdk_disk",
+                memory_budget=25,
+            ),
+            id="SearchService.build-memory_budget",
+        ),
+        pytest.param(
+            lambda tmp: main(SEARCH + ["--memory-budget", "25"]),
+            id="cli-memory-budget",
+        ),
+        pytest.param(
+            lambda tmp: main(SEARCH + ["--mode", "single_term"]),
+            id="cli-mode",
+        ),
+    ],
+)
+def test_unknown_kwarg_is_rejected(build, tmp_path, capsys):
+    """The posting-count budget and the ``--mode`` selector are gone:
+    passing them is an error, never a silent fallback."""
+    with pytest.raises((TypeError, SystemExit)) as excinfo:
+        build(tmp_path)
+    if excinfo.type is SystemExit:
+        assert excinfo.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestBlockCache:
     def test_byte_budget_bounds_encoded_bytes(self):
         """Eviction is driven by the encoded size of what is held, not
         by how many posting entries the lists happen to contain."""
@@ -60,14 +116,15 @@ class TestBlockCache:
         cache.put("big", big)
         assert cache.get("big") is big
         # A second block forces the first out: together they exceed the
-        # byte budget even though posting-count budgets would keep both.
+        # byte budget even though they hold only 51 postings.
         cache.put("small", _postings(1))
         assert cache.get("big") is None
         assert cache.held_bytes <= cache.capacity
 
     def test_both_occupancy_views_tracked(self):
-        """Whichever unit bounds the cache, both views stay honest."""
-        cache = BlockCache(capacity_postings=100)
+        """The budget is in bytes, but the paper's posting view of the
+        occupancy stays honest too."""
+        cache = BlockCache(capacity_bytes=1024)
         first, second = _postings(1, 2, 3), _postings(4)
         cache.put("a", first)
         cache.put("b", second)
@@ -76,35 +133,16 @@ class TestBlockCache:
             posting_list_wire_size(first) + posting_list_wire_size(second)
         )
 
-    def test_no_deprecation_warning_at_cache_level(self):
-        """The alias warning lives at the store/index seams; the cache
-        itself is a neutral two-unit primitive."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            BlockCache(capacity_postings=10)
-
 
 class TestSegmentStoreKnobs:
-    def test_cache_postings_deprecated(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_postings"):
-            store = SegmentStore(tmp_path / "s", cache_postings=100)
-        assert store.cache.unit == "postings"
-        store.close()
-
     def test_cache_bytes_is_the_quiet_path(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            store = SegmentStore(tmp_path / "s", cache_bytes=1024)
-        assert store.cache.unit == "bytes"
+        store = SegmentStore(tmp_path / "s", cache_bytes=1024)
+        assert store.cache.capacity == 1024
         store.close()
 
-    def test_both_cache_knobs_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="not both"):
-            SegmentStore(tmp_path / "s", cache_postings=1, cache_bytes=1)
-
-    def test_unit_changes_residency_not_results(self, tmp_path):
-        """Same records through a postings-budgeted and a
-        bytes-budgeted store: identical reads, key by key."""
+    def test_budget_changes_residency_not_results(self, tmp_path):
+        """Same records through a cache-less and a small-cache store:
+        identical reads, key by key."""
         records = [
             SegmentRecord.from_postings(
                 frozenset({f"k{i:02d}"}),
@@ -115,63 +153,36 @@ class TestSegmentStoreKnobs:
             )
             for i in range(40)
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = SegmentStore(tmp_path / "legacy", cache_postings=7)
-        modern = SegmentStore(tmp_path / "modern", cache_bytes=64)
+        uncached = SegmentStore(tmp_path / "uncached", cache_bytes=0)
+        cached = SegmentStore(tmp_path / "cached", cache_bytes=64)
         for record in records:
-            legacy.put_record(record)
-            modern.put_record(record)
-        assert set(legacy.keys()) == set(modern.keys())
+            uncached.put_record(record)
+            cached.put_record(record)
+        assert set(uncached.keys()) == set(cached.keys())
         for record in records:
-            left = legacy.get_postings(record.key)
-            right = modern.get_postings(record.key)
+            left = uncached.get_postings(record.key)
+            right = cached.get_postings(record.key)
             assert [(p.doc_id, p.tf) for p in left] == [
                 (p.doc_id, p.tf) for p in right
             ]
-        legacy.close()
-        modern.close()
+        assert len(uncached.cache) == 0 < len(cached.cache)
+        uncached.close()
+        cached.close()
 
 
 class TestSpillingIndexKnobs:
-    def _index(self, **kwargs):
-        from repro.index.global_index import GlobalKeyIndex  # noqa: F401
-        from repro.net.chord import ChordOverlay
-        from repro.net.network import P2PNetwork
-
-        network = P2PNetwork(overlay=ChordOverlay())
-        return SpillingGlobalKeyIndex(network, PARAMS, **kwargs)
-
-    def test_memory_budget_deprecated_postings_unit(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="memory_budget"):
-            index = self._index(memory_budget=25, store_dir=tmp_path / "s")
-        stats = index.spill_stats()
-        assert stats["budget_unit"] == "postings"
-        assert stats["memory_budget"] == 25
-        index.store.close()
-
     def test_default_is_bytes(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            index = self._index(store_dir=tmp_path / "s")
+        index = _spilling_index(store_dir=tmp_path / "s")
         stats = index.spill_stats()
-        assert stats["budget_unit"] == "bytes"
         assert stats["memory_budget"] == DEFAULT_MEMORY_BUDGET_BYTES
+        assert index.store.cache.capacity == DEFAULT_MEMORY_BUDGET_BYTES
         index.store.close()
-
-    def test_both_budgets_rejected(self, tmp_path):
-        with pytest.raises(StoreError, match="not both"):
-            self._index(
-                memory_budget=1,
-                memory_budget_bytes=1,
-                store_dir=tmp_path / "s",
-            )
 
 
 class TestEndToEndEquivalence:
-    """The budget unit is a residency knob, not a semantics knob: any
-    budget in either unit — including zero, spilling everything — must
-    leave search results identical to the in-RAM ``hdk`` backend."""
+    """The budget is a residency knob, not a semantics knob: any byte
+    budget — including zero, spilling everything — must leave search
+    results identical to the in-RAM ``hdk`` backend."""
 
     @pytest.fixture(scope="class")
     def collection(self):
@@ -187,73 +198,33 @@ class TestEndToEndEquivalence:
             for query in queries
         }
 
-    def test_units_and_hdk_agree(self, collection, tmp_path):
+    def test_budgets_and_hdk_agree(self, collection, tmp_path):
         reference = SearchService.build(
             collection, num_peers=3, backend="hdk", params=PARAMS
         )
         reference.index()
         expected = self._search_all(reference)
 
-        budget_kwargs = (
-            {"memory_budget": 0},
-            {"memory_budget": 40},
-            {"memory_budget_bytes": 0},
-            {"memory_budget_bytes": 600},
-        )
-        for i, kwargs in enumerate(budget_kwargs):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                service = SearchService.build(
-                    collection,
-                    num_peers=3,
-                    backend="hdk_disk",
-                    params=PARAMS,
-                    store_dir=tmp_path / f"run-{i}",
-                    **kwargs,
-                )
+        for budget in (0, 160, 600):
+            service = SearchService.build(
+                collection,
+                num_peers=3,
+                backend="hdk_disk",
+                params=PARAMS,
+                store_dir=tmp_path / f"run-{budget}",
+                memory_budget_bytes=budget,
+            )
             service.index()
-            assert self._search_all(service) == expected, kwargs
-            service.backend.global_index.store.close()
+            assert self._search_all(service) == expected, budget
+            index = service.backend.global_index
+            assert index.spill_stats()["spills"] > 0, budget
+            index.store.close()
 
 
 class TestCliKnobs:
-    def test_mixing_units_rejected(self):
-        with pytest.raises(SystemExit, match="not both"):
-            main(
-                [
-                    "search",
-                    "t00001",
-                    "--docs",
-                    "20",
-                    "--backend",
-                    "hdk_disk",
-                    "--memory-budget",
-                    "10",
-                    "--memory-budget-bytes",
-                    "1024",
-                ]
-            )
-
     def test_memory_budget_bytes_accepted(self, capsys):
         code = main(
-            [
-                "search",
-                "t00001 t00002",
-                "--docs",
-                "30",
-                "--vocabulary",
-                "200",
-                "--peers",
-                "3",
-                "--df-max",
-                "5",
-                "--window",
-                "6",
-                "--backend",
-                "hdk_disk",
-                "--memory-budget-bytes",
-                "2048",
-            ]
+            SEARCH + ["--backend", "hdk_disk", "--memory-budget-bytes", "2048"]
         )
         assert code == 0
         assert "indexed 30 documents" in capsys.readouterr().out

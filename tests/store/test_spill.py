@@ -110,10 +110,10 @@ class TestSpillingIndex:
     def test_budget_enforced_after_inserts(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=20,
+            memory_budget_bytes=80,
         )
         fill(index, keys=12, span=6)
-        assert index.hot_postings <= 20
+        assert index.spill_stats()["hot_charge"] <= 80
         assert index.spill_stats()["spills"] > 0
         # every entry is still reported at full length
         assert index.stored_postings_total() == 12 * 6
@@ -121,7 +121,7 @@ class TestSpillingIndex:
     def test_zero_budget_spills_everything(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=0,
+            memory_budget_bytes=0,
         )
         fill(index, keys=5)
         assert index.hot_postings == 0
@@ -131,7 +131,8 @@ class TestSpillingIndex:
         params = SMALL_PARAMS
         plain = GlobalKeyIndex(make_network(), params)
         spilling = SpillingGlobalKeyIndex(
-            make_network(), params, store_dir=tmp_path, memory_budget=10
+            make_network(), params, store_dir=tmp_path,
+            memory_budget_bytes=40,
         )
         for index in (plain, spilling):
             fill(index, keys=10, span=5)
@@ -147,7 +148,7 @@ class TestSpillingIndex:
     def test_lookup_traffic_counts_spilled_length(self, tmp_path):
         network = make_network()
         index = SpillingGlobalKeyIndex(
-            network, SMALL_PARAMS, store_dir=tmp_path, memory_budget=0
+            network, SMALL_PARAMS, store_dir=tmp_path, memory_budget_bytes=0
         )
         key = frozenset({"aa0", "bb0"})
         index.insert("peer-000", key, make_postings(range(7)))
@@ -160,19 +161,19 @@ class TestSpillingIndex:
     def test_reheat_on_read_respects_budget(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=12,
+            memory_budget_bytes=50,
         )
         inserted = fill(index, keys=8, span=6)
         for key, postings in inserted.items():
             entry = index.lookup("peer-002", key)
             assert list(entry.postings) == list(postings)  # materializes
-            assert index.hot_postings <= 12
+            assert index.spill_stats()["hot_charge"] <= 50
         assert index.spill_stats()["reloads"] > 0
 
     def test_insert_merges_through_spilled_entry(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=0,
+            memory_budget_bytes=0,
         )
         key = frozenset({"aa0", "bb0"})
         index.insert("peer-000", key, make_postings((1, 2)))
@@ -186,7 +187,7 @@ class TestSpillingIndex:
             df_max=3, window_size=8, s_max=3, ff=3_000, fr=3
         )
         index = SpillingGlobalKeyIndex(
-            make_network(), params, store_dir=tmp_path, memory_budget=0
+            make_network(), params, store_dir=tmp_path, memory_budget_bytes=0
         )
         key = frozenset({"aa0"})
         status = index.insert("peer-000", key, make_postings(range(5)))
@@ -199,7 +200,7 @@ class TestSpillingIndex:
     def test_spill_all(self, tmp_path):
         index = SpillingGlobalKeyIndex(
             make_network(), SMALL_PARAMS, store_dir=tmp_path,
-            memory_budget=10_000,
+            memory_budget_bytes=40_000,
         )
         fill(index, keys=6)
         assert index.hot_postings > 0
@@ -211,5 +212,5 @@ class TestSpillingIndex:
         with pytest.raises(StoreError):
             SpillingGlobalKeyIndex(
                 make_network(), SMALL_PARAMS, store_dir=tmp_path,
-                memory_budget=-1,
+                memory_budget_bytes=-1,
             )

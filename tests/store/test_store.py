@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StoreError
+from repro.index.codec import posting_list_wire_size
 from repro.index.postings import Posting, PostingList
 from repro.store.blockcache import BlockCache
 from repro.store.segment import STATUS_DK, STATUS_NDK
@@ -21,19 +22,25 @@ def key_of(i: int) -> frozenset[str]:
     return frozenset({f"term{i}", f"other{i % 5}"})
 
 
+def block_bytes(num_postings: int) -> int:
+    """Encoded size of a ``make_postings(range(num_postings))`` block."""
+    return posting_list_wire_size(make_postings(range(num_postings)))
+
+
 class TestBlockCache:
     def test_lru_eviction_under_budget(self):
-        cache = BlockCache(10)
+        capacity = 2 * block_bytes(4) + 6
+        cache = BlockCache(capacity)
         cache.put("a", make_postings(range(4)))
         cache.put("b", make_postings(range(4)))
         cache.put("c", make_postings(range(4)))  # evicts "a"
         assert cache.get("a") is None
         assert cache.get("b") is not None
-        assert cache.held_postings <= 10
+        assert cache.held_bytes <= capacity
         assert cache.stats.evictions == 1
 
     def test_get_refreshes_recency(self):
-        cache = BlockCache(8)
+        cache = BlockCache(2 * block_bytes(4))
         cache.put("a", make_postings(range(4)))
         cache.put("b", make_postings(range(4)))
         cache.get("a")
@@ -42,15 +49,15 @@ class TestBlockCache:
         assert cache.get("a") is not None
 
     def test_oversized_block_not_kept(self):
-        cache = BlockCache(3)
+        cache = BlockCache(block_bytes(3))
         cache.put("big", make_postings(range(10)))
         assert cache.get("big") is None
-        assert cache.held_postings == 0
+        assert cache.held_bytes == 0
 
     def test_oversized_block_does_not_flush_residents(self):
         """An unadmittable block must be rejected up front, not paid
         for by evicting every hot resident first."""
-        cache = BlockCache(10)
+        cache = BlockCache(2 * block_bytes(4) + 6)
         cache.put("a", make_postings(range(4)))
         cache.put("b", make_postings(range(4)))
         cache.put("big", make_postings(range(20)))
@@ -205,7 +212,7 @@ class TestSegmentStore:
         assert key_of(2) in final and key_of(1) not in final
 
     def test_block_cache_serves_repeat_reads(self, tmp_path):
-        store = SegmentStore(tmp_path, cache_postings=100)
+        store = SegmentStore(tmp_path, cache_bytes=400)
         store.put(key_of(1), make_postings((1, 2)), 2, STATUS_DK)
         store.flush()
         store.cache.clear()

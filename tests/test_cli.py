@@ -64,7 +64,7 @@ class TestSearch:
                 "150",
                 "--peers",
                 "2",
-                "--mode",
+                "--backend",
                 "single_term",
                 "--df-max",
                 "5",
@@ -267,8 +267,8 @@ class TestSyncFlag:
                 "--sync",
                 "--store-dir",
                 str(tmp_path / "store"),
-                "--memory-budget",
-                "100",
+                "--memory-budget-bytes",
+                "400",
                 "--save",
                 str(snap),
             ]
@@ -330,6 +330,27 @@ class TestExperiment:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(self.TINY + ["--backends", "kademlia"])
+
+    def test_overlay_reaches_experiment(self, monkeypatch):
+        seen = {}
+
+        class Recorder:
+            def __init__(self, *args, **kwargs):
+                seen.update(kwargs)
+
+            def run(self):
+                return []
+
+        monkeypatch.setattr("repro.cli.GrowthExperiment", Recorder)
+        monkeypatch.setattr("repro.cli.render_growth_table", lambda _: "")
+        assert main(self.TINY + ["--overlay", "pgrid"]) == 0
+        assert seen["overlay"] == "pgrid"
+
+    def test_peers_is_search_only(self):
+        # The growth protocol sets its own peer counts.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.TINY + ["--peers", "3"])
+        assert excinfo.value.code == 2
 
 
 class TestPlan:
