@@ -55,6 +55,11 @@ class Phase(Enum):
     RETRIEVAL = "retrieval"
     MAINTENANCE = "maintenance"
 
+    #: Members are singletons compared by identity, so identity hashing
+    #: agrees with ``==``; it spares every counter update a Python-level
+    #: ``Enum.__hash__`` call.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class TrafficSnapshot:
@@ -153,15 +158,18 @@ class TrafficAccounting:
         #: regress that — a window nobody holds is collected and pruned
         #: on the next record() instead of taxing it forever.
         self._global_windows: list["weakref.ref[TrafficWindow]"] = []
-        #: Per-thread state: open thread-scoped windows + phase override.
+        #: Per-thread :class:`_ThreadState` (thread-scoped windows and
+        #: phase override) under the attribute ``state``.
         self._local = threading.local()
 
+    def _thread_state(self) -> "_ThreadState":
+        state = getattr(self._local, "state", None)
+        if state is None:
+            state = self._local.state = _ThreadState()
+        return state
+
     def _thread_windows(self) -> list["weakref.ref[TrafficWindow]"]:
-        windows = getattr(self._local, "windows", None)
-        if windows is None:
-            windows = []
-            self._local.windows = windows
-        return windows
+        return self._thread_state().windows
 
     @staticmethod
     def _absorb_into(
@@ -187,7 +195,7 @@ class TrafficAccounting:
     def phase(self) -> Phase:
         """The phase newly logged messages are attributed to (the
         thread-local override from :meth:`phase_scope` wins)."""
-        override = getattr(self._local, "phase_override", None)
+        override = self._thread_state().phase_override
         return override if override is not None else self._current_phase
 
     def set_phase(self, phase: Phase) -> None:
@@ -204,27 +212,33 @@ class TrafficAccounting:
         """
         if not isinstance(phase, Phase):
             raise TypeError(f"expected Phase, got {type(phase).__name__}")
-        previous = getattr(self._local, "phase_override", None)
-        self._local.phase_override = phase
+        state = self._thread_state()
+        previous = state.phase_override
+        state.phase_override = phase
         try:
             yield
         finally:
-            self._local.phase_override = previous
+            state.phase_override = previous
 
     # -- recording ------------------------------------------------------------
 
     def record(self, message: Message) -> None:
         """Attribute ``message`` to the current phase (thread-safe)."""
-        phase = self.phase
+        state = self._thread_state()
+        phase = state.phase_override
+        if phase is None:
+            phase = self._current_phase
         with self._lock:
             self._postings[phase] += message.postings
             self._messages[phase] += 1
             self._hops[phase] += message.hops
             self._by_kind[message.kind] += 1
-            self._absorb_into(self._global_windows, phase, message)
+            if self._global_windows:
+                self._absorb_into(self._global_windows, phase, message)
         # Thread-scoped windows belong to this thread alone: no other
         # thread reads them while open, so no lock is needed.
-        self._absorb_into(self._thread_windows(), phase, message)
+        if state.windows:
+            self._absorb_into(state.windows, phase, message)
 
     # -- reading ----------------------------------------------------------------
 
@@ -306,6 +320,18 @@ class TrafficAccounting:
                 prune(self._global_windows)
         else:
             prune(self._thread_windows())
+
+
+class _ThreadState:
+    """One thread's accounting state, read once per :meth:`record`."""
+
+    __slots__ = ("phase_override", "windows")
+
+    def __init__(self) -> None:
+        #: Phase set by :meth:`TrafficAccounting.phase_scope`, if any.
+        self.phase_override: Phase | None = None
+        #: Open thread-scoped windows (weak references).
+        self.windows: list["weakref.ref[TrafficWindow]"] = []
 
 
 class TrafficWindow:

@@ -62,6 +62,10 @@ class MessageKind(Enum):
     #: repair (maintenance; carries the stored postings).
     REPLICA_REPAIR = "replica_repair"
 
+    #: Identity hashing, as for :class:`repro.net.accounting.Phase`:
+    #: every recorded message counts its kind in a dict.
+    __hash__ = object.__hash__
+
 
 _message_counter = itertools.count()
 

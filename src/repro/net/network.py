@@ -468,7 +468,9 @@ class P2PNetwork:
         self.send_insert(
             source_peer_name, key, payload_postings, key_repr=key_repr
         )
-        return self.apply_insert(key, merge)
+        return self.apply_insert(
+            key, merge, origin=self.id_of(source_peer_name)
+        )
 
     def send_insert(
         self,

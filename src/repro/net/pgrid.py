@@ -49,6 +49,9 @@ class PGridOverlay:
         self._paths: dict[str, int] = {}
         #: peer -> set of owned paths.
         self._peer_paths: dict[int, set[str]] = {}
+        #: peer -> primary path (see :meth:`path_of`); an entry is
+        #: dropped whenever the peer gains or loses a path.
+        self._primary: dict[int, str] = {}
         for peer_id in peer_ids or []:
             self.add_peer(peer_id)
 
@@ -75,10 +78,15 @@ class PGridOverlay:
         Raises:
             PeerNotFoundError: for unknown peers.
         """
-        owned = self._peer_paths.get(peer_id)
-        if not owned:
-            raise PeerNotFoundError(f"peer id {peer_id} not in overlay")
-        return min(owned, key=lambda p: (len(p), p))
+        primary = self._primary.get(peer_id)
+        if primary is None:
+            owned = self._peer_paths.get(peer_id)
+            if not owned:
+                raise PeerNotFoundError(f"peer id {peer_id} not in overlay")
+            primary = self._primary[peer_id] = min(
+                owned, key=lambda p: (len(p), p)
+            )
+        return primary
 
     def add_peer(self, peer_id: int) -> int:
         """Add a peer by splitting the shallowest leaf; returns the peer
@@ -164,11 +172,13 @@ class PGridOverlay:
     def _assign(self, path: str, peer_id: int) -> None:
         self._paths[path] = peer_id
         self._peer_paths.setdefault(peer_id, set()).add(path)
+        self._primary.pop(peer_id, None)
 
     def _unassign(self, path: str) -> None:
         owner = self._paths.pop(path)
         owned = self._peer_paths[owner]
         owned.discard(path)
+        self._primary.pop(owner, None)
 
     # -- responsibility and routing ---------------------------------------------------
 
@@ -178,16 +188,20 @@ class PGridOverlay:
             raise NetworkError(f"key id {key_id} outside the id space")
         if not self._paths:
             raise NetworkError("overlay has no peers")
-        bits = _id_bits(key_id)
+        return self._cover(_id_bits(key_id))[1]
+
+    def _cover(self, bits: str) -> tuple[str, int]:
+        """The path covering the key ``bits`` and the peer owning it."""
         # The cover is prefix-free and complete: exactly one prefix of the
         # key's bits is present.  Paths are short (≈ log2 N bits), so walk
         # prefixes from the empty path upward.
         for end in range(0, len(bits) + 1):
-            owner = self._paths.get(bits[:end])
+            path = bits[:end]
+            owner = self._paths.get(path)
             if owner is not None:
-                return owner
+                return path, owner
         raise NetworkError(
-            f"trie inconsistency: no peer covers key {key_id}"
+            f"trie inconsistency: no peer covers key {int(bits, 2)}"
         )  # pragma: no cover
 
     def route_hops(self, source_peer: int, key_id: int) -> int:
@@ -200,19 +214,15 @@ class PGridOverlay:
         beyond the longest common prefix with the source's path.
         """
         source_path = self.path_of(source_peer)
-        target = self.responsible_peer(key_id)
+        if not 0 <= key_id < KEY_SPACE_SIZE:
+            raise NetworkError(f"key id {key_id} outside the id space")
+        bits = _id_bits(key_id)
+        target_path, target = self._cover(bits)
         if target == source_peer:
             return 0
-        bits = _id_bits(key_id)
         common = 0
         for source_bit, key_bit in zip(source_path, bits):
             if source_bit != key_bit:
                 break
             common += 1
-        # The covering path of the key at the target:
-        target_path = next(
-            p
-            for p in self._peer_paths[target]
-            if bits.startswith(p)
-        )
         return max(1, len(target_path) - common)

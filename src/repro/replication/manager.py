@@ -38,8 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ReplicationManager"]
 
-#: Origin id used for ops whose caller did not identify the inserting
-#: peer (legacy single-argument apply_insert paths).
+#: Origin id for ops applied without an inserting peer: a direct
+#: ``P2PNetwork.apply_insert(key, merge)`` call made outside any peer's
+#: indexing.  Every peer-driven write (``P2PNetwork.insert``, the
+#: indexing pipeline, stats publication) is sequenced under the
+#: inserting peer's overlay id instead.
 ANONYMOUS_ORIGIN = -1
 
 

@@ -63,23 +63,45 @@ class DistributedRanker:
         evidence: dict[int, dict[str, int]] = {}
         doc_lens: dict[int, int] = {}
         for key_terms, posting in fetched:
-            term_map = evidence.setdefault(posting.doc_id, {})
-            doc_lens[posting.doc_id] = max(
-                doc_lens.get(posting.doc_id, 0), posting.doc_len
-            )
-            if posting.term_tfs:
+            doc_id = posting.doc_id
+            term_map = evidence.get(doc_id)
+            if term_map is None:
+                term_map = evidence[doc_id] = {}
+                doc_lens[doc_id] = posting.doc_len
+            elif posting.doc_len > doc_lens[doc_id]:
+                doc_lens[doc_id] = posting.doc_len
+            term_tfs = posting.term_tfs
+            if term_tfs:
                 for index, term in enumerate(key_terms):
-                    tf = posting.term_tfs[index]
-                    term_map[term] = max(term_map.get(term, 0), tf)
+                    tf = term_tfs[index]
+                    if tf > term_map.get(term, -1):
+                        term_map[term] = tf
             elif len(key_terms) == 1:
-                term_map[key_terms[0]] = max(
-                    term_map.get(key_terms[0], 0), posting.tf
-                )
-        scored: list[RankedResult] = []
+                term = key_terms[0]
+                if posting.tf > term_map.get(term, -1):
+                    term_map[term] = posting.tf
+        # BM25 exactly as ``BM25Scorer.score_document`` sums it per doc
+        # (same term order, same expression), with each term's idf
+        # computed once per query and each doc's length norm once per doc.
+        scorer = self.scorer
+        k1, b = scorer.k1, scorer.b
+        k1_plus_1 = k1 + 1
+        average_doc_length = scorer.average_doc_length
+        idfs: dict[str, float] = {}
+        scored: list[tuple[float, int]] = []
         for doc_id, term_map in evidence.items():
-            score = self.scorer.score_document(
-                term_map, doc_lens.get(doc_id, 0), self.term_dfs
-            )
-            scored.append(RankedResult(doc_id=doc_id, score=score))
-        scored.sort(key=lambda r: (-r.score, r.doc_id))
-        return scored[:k]
+            norm = k1 * (1 - b + b * doc_lens[doc_id] / average_doc_length)
+            score = 0.0
+            for term, tf in term_map.items():
+                if tf <= 0:
+                    continue
+                idf = idfs.get(term)
+                if idf is None:
+                    idf = idfs[term] = scorer.idf(self.term_dfs.get(term, 0))
+                score += idf * tf * k1_plus_1 / (tf + norm)
+            scored.append((-score, doc_id))
+        scored.sort()
+        return [
+            RankedResult(doc_id=doc_id, score=-negated)
+            for negated, doc_id in scored[:k]
+        ]

@@ -115,7 +115,7 @@ def test_worker_fault_leaks_no_window_or_phase(collection, workers):
     assert accounting._thread_windows() == []
     # The shared phase is wherever the build set it; what must not leak
     # is a thread-local override masking it.
-    assert getattr(accounting._local, "phase_override", None) is None
+    assert accounting._thread_state().phase_override is None
     assert accounting.phase is Phase.INDEXING
 
 

@@ -2,18 +2,90 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from repro.errors import NetworkError, PeerNotFoundError
-from repro.net.chord import ChordOverlay, _in_open_interval
-from repro.net.node_id import KEY_SPACE_SIZE, hash_to_id, peer_id_for
+from repro.net import chord
+from repro.net.chord import ChordOverlay
+from repro.net.node_id import (
+    KEY_SPACE_BITS,
+    KEY_SPACE_SIZE,
+    hash_to_id,
+    peer_id_for,
+)
 
 
 def make_overlay(n: int) -> ChordOverlay:
     return ChordOverlay(peer_id_for(f"peer-{i}") for i in range(n))
+
+
+# -- reference walk: every finger bisected on every hop, nothing cached --------
+
+
+def _in_open_interval(value: int, low: int, high: int) -> bool:
+    """True iff ``value`` lies in the circular open interval (low, high)."""
+    if low == high:
+        # Full circle (single-peer degenerate case).
+        return value != low
+    if low < high:
+        return low < value < high
+    return value > low or value < high
+
+
+def _reference_successor(ring: list[int], value: int) -> int:
+    index = bisect.bisect_left(ring, value)
+    return ring[index if index < len(ring) else 0]
+
+
+def reference_route(ring: list[int], source: int, key_id: int) -> list[int]:
+    """Chord's ``closest_preceding_node`` walk over all 64 finger
+    targets ``current + 2^i``, farthest first, recomputed on every hop.
+    Returns the peers each hop leaves from (one per hop)."""
+    target = _reference_successor(ring, key_id)
+    current = source
+    path = []
+    while current != target:
+        path.append(current)
+        best = None
+        for i in reversed(range(KEY_SPACE_BITS)):
+            finger = _reference_successor(
+                ring, (current + (1 << i)) % KEY_SPACE_SIZE
+            )
+            if finger != current and _in_open_interval(
+                finger, current, key_id
+            ):
+                best = finger
+                break
+        if best is None:
+            best = _reference_successor(
+                ring, (current + 1) % KEY_SPACE_SIZE
+            )
+        current = best
+        assert len(path) <= len(ring)
+    return path
+
+
+def assert_routes_match_reference(
+    overlay: ChordOverlay, rng: random.Random, pairs: int
+) -> None:
+    ring = overlay.peer_ids()
+    for _ in range(pairs):
+        source = rng.choice(ring)
+        # Half random keys, half keys at or next to a peer id (the
+        # boundaries of the successor rule).
+        if rng.random() < 0.5:
+            key = rng.randrange(KEY_SPACE_SIZE)
+        else:
+            key = (rng.choice(ring) + rng.choice((-1, 0, 1))) % KEY_SPACE_SIZE
+        assert overlay.route_hops(source, key) == len(
+            reference_route(ring, source, key)
+        ), (source, key)
 
 
 class TestMembership:
@@ -153,3 +225,104 @@ class TestIntervalHelper:
     def test_full_circle(self):
         assert _in_open_interval(3, 5, 5)
         assert not _in_open_interval(5, 5, 5)
+
+
+class TestFingerCache:
+    """The memoized finger tables route exactly like the uncached walk,
+    and never survive a membership change."""
+
+    @pytest.mark.parametrize(
+        "seed,size", [(0, 1), (1, 2), (2, 7), (3, 40), (4, 120), (5, 200)]
+    )
+    def test_routes_match_reference_under_churn(self, seed, size):
+        rng = random.Random(seed)
+        # Odd seeds crowd the ids, so fingers wrap and collapse onto few
+        # peers.
+        span = 4 * size if seed % 2 else KEY_SPACE_SIZE
+        overlay = ChordOverlay({rng.randrange(span) for _ in range(size)})
+        # Each check warms the tables the next change must drop.
+        assert_routes_match_reference(overlay, rng, 100)
+        for _ in range(12):
+            if len(overlay) > 1 and rng.random() < 0.5:
+                overlay.remove_peer(rng.choice(overlay.peer_ids()))
+            else:
+                peer = rng.randrange(KEY_SPACE_SIZE)
+                if peer not in overlay:
+                    overlay.add_peer(peer)
+            assert_routes_match_reference(overlay, rng, 60)
+
+    def test_tables_computed_once_per_visited_peer(self, monkeypatch):
+        computed: list[int] = []
+        original = chord._finger_table
+
+        def counting(ring, peer_id):
+            computed.append(peer_id)
+            return original(ring, peer_id)
+
+        monkeypatch.setattr(chord, "_finger_table", counting)
+        overlay = make_overlay(64)
+        peers = overlay.peer_ids()
+        rng = random.Random(3)
+        lookups = [
+            (rng.choice(peers), rng.randrange(KEY_SPACE_SIZE))
+            for _ in range(400)
+        ]
+        visited = set()
+        for source, key in lookups:
+            overlay.route_hops(source, key)
+            visited.update(reference_route(peers, source, key))
+        # Without the cache every one of the ~1000 hops computes a table.
+        assert len(computed) <= len(visited) <= len(peers)
+        assert set(computed) == visited
+        # A join drops every table: the same lookups compute them anew.
+        computed.clear()
+        overlay.add_peer(peer_id_for("joiner"))
+        for source, key in lookups:
+            overlay.route_hops(source, key)
+        assert 0 < len(computed) == len(set(computed))
+
+    def test_concurrent_routes_during_churn(self):
+        """Four routing threads race joins and leaves: no walk may mix
+        two rings (a departed peer's stale table would loop or index
+        out of range), and once membership settles every route is the
+        reference's."""
+        overlay = make_overlay(48)
+        stable = overlay.peer_ids()[:24]
+        churners = [peer_id_for(f"churn-{i}") for i in range(24)]
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def route() -> None:
+            rng = random.Random(threading.get_ident())
+            try:
+                while not done.is_set():
+                    overlay.route_hops(
+                        rng.choice(stable), rng.randrange(KEY_SPACE_SIZE)
+                    )
+            except Exception as exc:  # pragma: no cover - on failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=route) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            rng = random.Random(5)
+            for _ in range(6):
+                for peer in churners:
+                    overlay.add_peer(peer)
+                for peer in overlay.peer_ids():
+                    if peer not in stable and rng.random() < 0.7:
+                        overlay.remove_peer(peer)
+                for peer in churners:
+                    if peer in overlay:
+                        overlay.remove_peer(peer)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert_routes_match_reference(overlay, rng, 300)

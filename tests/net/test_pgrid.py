@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import NetworkError, PeerNotFoundError
-from repro.net.node_id import KEY_SPACE_SIZE, peer_id_for
+from repro.net.node_id import KEY_SPACE_BITS, KEY_SPACE_SIZE, peer_id_for
 from repro.net.pgrid import PGridOverlay
 
 
@@ -135,3 +135,67 @@ class TestRouting:
     def test_unknown_source_raises(self):
         with pytest.raises(PeerNotFoundError):
             PGridOverlay([5]).route_hops(99, 1)
+
+
+def reference_route_hops(
+    paths: dict[str, int], source: int, key_id: int
+) -> int:
+    """P-Grid routing cost recomputed from the bare path -> peer cover:
+    the source's shortest path, the key's covering path by a prefix
+    walk, and the levels of it beyond their common prefix."""
+    bits = format(key_id, f"0{KEY_SPACE_BITS}b")
+    source_path = min(
+        (p for p, owner in paths.items() if owner == source),
+        key=lambda p: (len(p), p),
+    )
+    target_path = next(
+        bits[:end] for end in range(len(bits) + 1) if bits[:end] in paths
+    )
+    if paths[target_path] == source:
+        return 0
+    common = 0
+    for source_bit, key_bit in zip(source_path, bits):
+        if source_bit != key_bit:
+            break
+        common += 1
+    return max(1, len(target_path) - common)
+
+
+class TestRoutingOracle:
+    """Cached primary paths route exactly like the recomputed cover."""
+
+    @pytest.mark.parametrize("seed,size", [(0, 1), (1, 2), (2, 9), (3, 64)])
+    def test_routes_match_reference_under_churn(self, seed, size):
+        rng = random.Random(seed)
+        overlay = PGridOverlay(
+            list({rng.randrange(KEY_SPACE_SIZE) for _ in range(size)})
+        )
+
+        def check(pairs: int) -> None:
+            paths = overlay.paths()
+            peers = overlay.peer_ids()
+            for peer in peers:
+                assert overlay.path_of(peer) == min(
+                    (p for p, owner in paths.items() if owner == peer),
+                    key=lambda p: (len(p), p),
+                )
+            for _ in range(pairs):
+                source = rng.choice(peers)
+                key = rng.randrange(KEY_SPACE_SIZE)
+                assert overlay.route_hops(source, key) == (
+                    reference_route_hops(paths, source, key)
+                ), (source, key)
+
+        check(100)
+        for _ in range(15):
+            if len(overlay) > 1 and rng.random() < 0.5:
+                departed = rng.choice(overlay.peer_ids())
+                overlay.path_of(departed)  # cached before it leaves
+                overlay.remove_peer(departed)
+                with pytest.raises(PeerNotFoundError):
+                    overlay.path_of(departed)
+                with pytest.raises(PeerNotFoundError):
+                    overlay.route_hops(departed, 0)
+            else:
+                overlay.add_peer(rng.randrange(KEY_SPACE_SIZE))
+            check(60)

@@ -79,10 +79,27 @@ class TestWritePath:
         owners = manager.owners(net.key_id("k"))
         # One replica already covers the op's (origin, seq): the merge
         # must be skipped there and applied at the other.
-        manager.vector_of(owners[1]).observe(ANONYMOUS_ORIGIN, 1)
+        manager.vector_of(owners[1]).observe(net.id_of("peer-0"), 1)
         net.insert("peer-0", "k", lambda cur: "v", 1)
         assert net.storage_by_id(owners[0]).get("k") == "v"
         assert net.storage_by_id(owners[1]).get("k") is None
+
+    def test_insert_sequences_under_the_inserting_peer(self, replicated):
+        net, manager = replicated
+        net.insert("peer-0", "k", lambda cur: "v", 1)
+        net.insert("peer-1", "k", lambda cur: "w", 1)
+        net.insert("peer-0", "j", lambda cur: "x", 1)
+        assert manager.export_state()["origin_seqs"] == {
+            str(net.id_of("peer-0")): 2,
+            str(net.id_of("peer-1")): 1,
+        }
+
+    def test_direct_apply_without_origin_is_anonymous(self, replicated):
+        net, manager = replicated
+        net.apply_insert("k", lambda cur: "v")
+        assert manager.export_state()["origin_seqs"] == {
+            str(ANONYMOUS_ORIGIN): 1
+        }
 
     def test_write_lost_when_whole_replica_set_dead(self, replicated):
         net, manager = replicated

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RetrievalError
 from repro.index.bm25 import BM25Scorer
@@ -81,3 +85,104 @@ class TestRank:
     def test_invalid_k(self, scorer):
         with pytest.raises(RetrievalError):
             make_ranker(scorer).rank([], k=0)
+
+
+class LoosePosting(NamedTuple):
+    """A posting without :class:`Posting`'s validation, so the ranker can
+    be fed ``tf = 0`` evidence (it reads only these four fields)."""
+
+    doc_id: int
+    tf: int
+    term_tfs: tuple[int, ...]
+    doc_len: int
+
+
+def reference_rank(ranker, fetched, k):
+    """Evidence merged per doc, then ``BM25Scorer.score_document`` per
+    doc (idf recomputed for every (doc, term) pair)."""
+    evidence: dict[int, dict[str, int]] = {}
+    doc_lens: dict[int, int] = {}
+    for key_terms, posting in fetched:
+        term_map = evidence.setdefault(posting.doc_id, {})
+        doc_lens[posting.doc_id] = max(
+            doc_lens.get(posting.doc_id, 0), posting.doc_len
+        )
+        if posting.term_tfs:
+            for index, term in enumerate(key_terms):
+                tf = posting.term_tfs[index]
+                term_map[term] = max(term_map.get(term, 0), tf)
+        elif len(key_terms) == 1:
+            term_map[key_terms[0]] = max(
+                term_map.get(key_terms[0], 0), posting.tf
+            )
+    scored = [
+        (
+            ranker.scorer.score_document(
+                term_map, doc_lens[doc_id], ranker.term_dfs
+            ),
+            doc_id,
+        )
+        for doc_id, term_map in evidence.items()
+    ]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    return scored[:k]
+
+
+TERMS = ("a", "b", "c", "d")
+
+
+@st.composite
+def fetched_entries(draw):
+    key_terms = tuple(
+        sorted(draw(st.sets(st.sampled_from(TERMS), min_size=1, max_size=3)))
+    )
+    with_term_tfs = draw(st.booleans())
+    term_tfs = (
+        tuple(
+            draw(st.integers(min_value=0, max_value=6)) for _ in key_terms
+        )
+        if with_term_tfs
+        else ()
+    )
+    posting = LoosePosting(
+        # Few doc ids, so a doc shows up under several keys.
+        doc_id=draw(st.integers(min_value=0, max_value=5)),
+        tf=draw(st.integers(min_value=0, max_value=6)),
+        term_tfs=term_tfs,
+        doc_len=draw(st.integers(min_value=0, max_value=40)),
+    )
+    return key_terms, posting
+
+
+@st.composite
+def rankers(draw):
+    num_documents = draw(st.integers(min_value=1, max_value=60))
+    scorer = BM25Scorer(
+        num_documents=num_documents,
+        average_doc_length=draw(
+            st.floats(min_value=0.5, max_value=50.0, allow_nan=False)
+        ),
+        k1=draw(st.sampled_from((0.0, 1.2, 2.0))),
+        b=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
+    )
+    # Terms left out of term_dfs score with df = 0.
+    term_dfs = draw(
+        st.dictionaries(
+            st.sampled_from(TERMS),
+            st.integers(min_value=0, max_value=num_documents),
+        )
+    )
+    return DistributedRanker(scorer, term_dfs)
+
+
+class TestBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ranker=rankers(),
+        fetched=st.lists(fetched_entries(), max_size=25),
+        k=st.integers(min_value=1, max_value=8),
+    )
+    def test_rank_equals_per_doc_score_document(self, ranker, fetched, k):
+        expected = reference_rank(ranker, fetched, k)
+        results = ranker.rank(fetched, k)
+        assert [(r.score, r.doc_id) for r in results] == expected

@@ -14,6 +14,7 @@ import pytest
 from repro.corpus.querylog import QueryLogGenerator
 from repro.engine.service import SearchService
 from repro.errors import ConfigurationError
+from repro.replication.manager import ANONYMOUS_ORIGIN
 from repro.store import snapshot as snapshot_io
 from tests.conftest import SMALL_PARAMS
 
@@ -72,6 +73,20 @@ def test_manifest_records_replication_state(replicated_service, saved):
     assert state["write_clock"] > 0
     assert state["version_vectors"]
     assert state == replicated_service.replication_manager.export_state()
+
+
+def test_single_term_build_sequences_per_origin(small_collection):
+    """``single_term`` inserts go through ``P2PNetwork.insert``; each is
+    sequenced under its inserting peer, none under the anonymous
+    origin."""
+    service = build(small_collection, replication=2, backend="single_term")
+    network = service.network
+    origin_seqs = service.replication_manager.export_state()["origin_seqs"]
+    peer_ids = {str(network.id_of(name)) for name in network.peer_names()}
+    assert set(origin_seqs) == peer_ids
+    assert str(ANONYMOUS_ORIGIN) not in origin_seqs
+    # One op per inserted term list plus one stats publication per peer.
+    assert sum(origin_seqs.values()) > len(peer_ids)
 
 
 def test_load_restores_replication(replicated_service, saved, querylog):
