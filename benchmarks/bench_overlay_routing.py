@@ -31,17 +31,16 @@ from repro.corpus.querylog import QueryLogGenerator
 from repro.corpus.synthetic import SyntheticCorpusGenerator
 from repro.engine.service import SearchService
 from repro.net.accounting import Phase
-from repro.obs.metrics import get_hub
 from repro.utils import format_table
 
 from .conftest import BENCH_CORPUS, BENCH_EXPERIMENT, publish, publish_json
 
 _SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
-#: Process-wide routing counters the hierarchical router feeds (the
-#: PR-9 metrics hub); the bench publishes their per-replay deltas so
-#: the JSON artifact carries the same hop/hit-rate story the per-router
-#: stats tables render.
+#: Routing counters the hierarchical router feeds into each network's
+#: metrics hub; the bench publishes their sums over the sweep's
+#: super-peer services so the JSON artifact carries the same
+#: hop/hit-rate story the per-router stats tables render.
 _OBS_COUNTERS = (
     "overlay.lookups",
     "overlay.path_cache_hits",
@@ -51,9 +50,10 @@ _OBS_COUNTERS = (
 )
 
 
-def _obs_snapshot() -> dict[str, int]:
-    hub = get_hub()
-    return {name: hub.counter(name).value for name in _OBS_COUNTERS}
+def _add_obs_counts(totals: dict[str, int], service) -> None:
+    hub = service.network.metrics
+    for name in _OBS_COUNTERS:
+        totals[name] += hub.counter(name).value
 
 
 #: Peer counts swept; the largest carries the hops/query assertion.
@@ -108,7 +108,7 @@ def test_overlay_routing_vs_flat(benchmark):
     rows = []
     mean_hops: dict[tuple[int, str], float] = {}
     hit_rates: dict[int, float] = {}
-    obs_before = _obs_snapshot()
+    obs_deltas = dict.fromkeys(_OBS_COUNTERS, 0)
     for num_peers in NETWORK_SIZES:
         fanout = max(2, int(math.sqrt(num_peers)))
         collection = SyntheticCorpusGenerator(
@@ -135,6 +135,7 @@ def test_overlay_routing_vs_flat(benchmark):
             overlay_fanout=fanout,
         )
         sup_rankings, sup_hops, sup_postings = replay(sup, log)
+        _add_obs_counts(obs_deltas, sup)
         assert sup_rankings == flat_rankings, (
             f"hdk_super diverged from hdk at {num_peers} peers"
         )
@@ -176,6 +177,7 @@ def test_overlay_routing_vs_flat(benchmark):
             overlay_fanout=fanout,
         )
         report = lru.run_querylog(log, k=10)
+        _add_obs_counts(obs_deltas, lru)
         rows.append(
             [
                 str(num_peers),
@@ -199,12 +201,7 @@ def test_overlay_routing_vs_flat(benchmark):
         rows,
     )
     publish("overlay_routing_vs_flat", table)
-    obs_after = _obs_snapshot()
-    obs_deltas = {
-        name: obs_after[name] - obs_before[name]
-        for name in _OBS_COUNTERS
-    }
-    # The hub saw every hierarchical lookup of the sweep, and the Zipf
+    # The hubs saw every hierarchical lookup of the sweep, and the Zipf
     # log exercised the path cache through the counters too.
     assert obs_deltas["overlay.lookups"] > 0
     assert obs_deltas["overlay.path_cache_hits"] > 0

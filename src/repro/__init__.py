@@ -20,9 +20,9 @@ snapshots backed by the :mod:`repro.store` segmented disk store.
 Every tier is observable through :mod:`repro.obs`: a contextvars-based
 :class:`Tracer` follows a query from the HTTP gateway through the
 worker pool, the service, each overlay hop, and the disk store (one
-span per hop the traffic accounting charges), and a process-wide
-:class:`MetricsHub` unifies counters, gauges, and mergeable latency
-histograms.  Tracing is off by default and costs nothing when off.
+span per hop the traffic accounting charges), and each simulated
+network's :class:`MetricsHub` (``network.metrics``) holds its counters,
+per-super-peer counter families and mergeable latency histograms.  Tracing is off by default and costs nothing when off.
 
 Quickstart::
 
@@ -71,7 +71,6 @@ from .obs import (
     LatencyHistogram,
     MetricsHub,
     Tracer,
-    get_hub,
     get_tracer,
     set_global_tracer,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "LatencyHistogram",
     "MetricsHub",
     "Tracer",
-    "get_hub",
     "get_tracer",
     "set_global_tracer",
     "RetrievalBackend",

@@ -51,7 +51,6 @@ from ..net.accounting import (
 from ..net.chord import ChordOverlay, Overlay
 from ..net.network import P2PNetwork
 from ..net.pgrid import PGridOverlay
-from ..obs.metrics import LatencyHistogram
 from ..obs.trace import current_span, get_tracer
 from ..replication import (
     AntiEntropyRepairer,
@@ -75,10 +74,14 @@ from .peer import Peer
 
 __all__ = [
     "BatchSearchReport",
+    "LATENCY_METRIC",
     "SearchService",
     "make_overlay",
     "spawn_peers",
 ]
+
+#: Hub name of the service's per-search latency histogram.
+LATENCY_METRIC = "service.latency"
 
 
 def make_overlay(overlay: str) -> Overlay:
@@ -315,10 +318,11 @@ class SearchService:
         #: concurrent identical queries wait for one resolution).
         self._inflight: dict[frozenset[str], _InFlightQuery] = {}
         #: Service-side latency distribution over every search() call
-        #: (hits and misses alike); :meth:`stats` exposes its state so
-        #: the serving gateway can merge the per-worker histograms.
+        #: (hits and misses alike), in the network's hub, which
+        #: :meth:`stats` ships so the serving gateway can merge the
+        #: per-worker hubs.  The histogram itself is not thread-safe.
         self._latency_lock = threading.Lock()
-        self._latency = LatencyHistogram()
+        self._latency = network.metrics.histogram(LATENCY_METRIC)
 
     # -- construction ------------------------------------------------------------
 
@@ -1047,10 +1051,9 @@ class SearchService:
         stats["cache_misses"] = self.cache_stats.misses
         with self._latency_lock:
             stats["latency"] = self._latency.as_dict()
-            # Lossless twin of "latency": the serving gateway rebuilds
-            # per-worker histograms from this and merges them into one
-            # fleet-wide distribution on GET /stats.
-            stats["latency_state"] = self._latency.to_state()
+            # The network's whole hub, losslessly: the serving gateway
+            # merges the workers' hubs by metric kind on GET /stats.
+            stats["metrics"] = self.network.metrics.to_state()
         stats["traffic"] = self.network.accounting.snapshot().as_dict()
         stats["replication"] = self.replication
         if self.replication_manager is not None:

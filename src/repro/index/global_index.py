@@ -95,12 +95,14 @@ class StagedInsert:
     Attributes:
         source_peer_name: the inserting peer.
         key: the term set.
+        key_id: the key's overlay id, hashed once by the send.
         payload: the published (possibly locally truncated) postings.
         local_df: the peer's true local document frequency for the key.
     """
 
     source_peer_name: str
     key: frozenset[str]
+    key_id: int
     payload: PostingList
     local_df: int
 
@@ -185,7 +187,7 @@ class GlobalKeyIndex:
                 f"local_df ({local_df}) below published postings "
                 f"({len(local_postings)}) for {key_repr(key)}"
             )
-        self.network.send_insert(
+        key_id = self.network.send_insert(
             source_peer_name,
             key,
             payload_postings=len(local_postings),
@@ -194,6 +196,7 @@ class GlobalKeyIndex:
         return StagedInsert(
             source_peer_name=source_peer_name,
             key=key,
+            key_id=key_id,
             payload=local_postings,
             local_df=local_df,
         )
@@ -251,9 +254,11 @@ class GlobalKeyIndex:
         # tags the op for idempotent redelivery; ``transition`` then
         # collects one entry per replica, but the truthy check and the
         # single notification below are unaffected.
-        entry = self.network.apply_insert(key, merge, origin=source_id)
+        entry = self.network.apply_insert(
+            key, staged.key_id, merge, origin=source_id
+        )
         if transition:
-            self._notify_contributors(entry)
+            self._notify_contributors(entry, staged.key_id)
             self._transition_log.append(
                 (entry.key, frozenset(entry.contributors))
             )
@@ -274,9 +279,9 @@ class GlobalKeyIndex:
         self._transition_log = []
         return drained
 
-    def _notify_contributors(self, entry: GlobalEntry) -> None:
+    def _notify_contributors(self, entry: GlobalEntry, key_id: int) -> None:
         """Send an NDK notification to every contributor of ``entry``."""
-        responsible = self.network.responsible_peer_for(entry.key)
+        responsible = self.network.overlay.responsible_peer(key_id)
         for contributor in sorted(entry.contributors):
             self.network.notify(
                 responsible, contributor, key_repr=key_repr(entry.key)

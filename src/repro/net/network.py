@@ -4,6 +4,9 @@
 DHT-style primitives — merge-insert, lookup, notify — and logs every
 simulated message with its posting payload into the shared
 :class:`TrafficAccounting`, so higher layers never touch counters directly.
+Event counters of the layers built on the network (the super-peer
+overlay, the service's latency histogram) live in its
+:class:`~repro.obs.metrics.MetricsHub`, ``network.metrics``.
 
 Peer churn (join/leave) triggers key handoff between the affected peers;
 handoff traffic is attributed to the MAINTENANCE phase, which the paper's
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Protocol, runtime_checkable
 
 from ..errors import NetworkError, PeerNotFoundError
+from ..obs.metrics import MetricsHub
 from ..obs.trace import get_tracer
 from .accounting import Phase, TrafficAccounting
 from .chord import ChordOverlay, Overlay
@@ -127,6 +131,9 @@ class P2PNetwork:
             )
         self.overlay: Overlay = overlay if overlay is not None else ChordOverlay()
         self.accounting = accounting or TrafficAccounting()
+        #: Event counters of every layer over this network (one hub per
+        #: network, so two networks in one process never mix counts).
+        self.metrics = MetricsHub()
         self.link_latency_s = link_latency_s
         #: Optional hop-level routing hook (see :class:`RoutingPolicy`).
         #: ``None`` routes every message along the structured overlay.
@@ -465,11 +472,11 @@ class P2PNetwork:
 
         Returns the merged stored value.
         """
-        self.send_insert(
+        key_id = self.send_insert(
             source_peer_name, key, payload_postings, key_repr=key_repr
         )
         return self.apply_insert(
-            key, merge, origin=self.id_of(source_peer_name)
+            key, key_id, merge, origin=self.id_of(source_peer_name)
         )
 
     def send_insert(
@@ -478,11 +485,14 @@ class P2PNetwork:
         key: Any,
         payload_postings: int,
         key_repr: str = "",
-    ) -> None:
+    ) -> int:
         """Transmission phase of an insert: log the routed INSERT message
         and pay its simulated link latency.  Touches no storage, so
         concurrent sends for different peers are safe; the insert
-        completes when :meth:`apply_insert` runs its merge."""
+        completes when :meth:`apply_insert` runs its merge.
+
+        Returns the key's overlay id, which the caller hands to
+        :meth:`apply_insert` so the key is hashed once per insert."""
         source_id = self.id_of(source_peer_name)
         key_id = self._key_id(key)
         target_id = self.overlay.responsible_peer(key_id)
@@ -509,18 +519,21 @@ class P2PNetwork:
                 payload_postings,
                 key_repr=key_repr or repr(key),
             )
+        return key_id
 
     def apply_insert(
         self,
         key: Any,
+        key_id: int,
         merge: Callable[[Any | None], Any],
         origin: int | None = None,
     ) -> Any:
         """Application phase of an insert: run ``merge`` against the
         stored value at the responsible peer (no message is logged — the
-        transmission was paid by :meth:`send_insert`).  Merge order is
-        what the index's contents depend on, so callers that stage sends
-        concurrently must apply in a deterministic order.
+        transmission was paid by :meth:`send_insert`, which returned
+        ``key_id``).  Merge order is what the index's contents depend
+        on, so callers that stage sends concurrently must apply in a
+        deterministic order.
 
         ``origin`` is the inserting peer's overlay id; with replication
         installed it tags the op with a per-origin sequence number so
@@ -529,7 +542,6 @@ class P2PNetwork:
         replication a write whose responsible peer crashed is simply
         lost (``merge(None)`` is still evaluated so the caller observes
         the value the acknowledgement would have carried)."""
-        key_id = self._key_id(key)
         if self.replication is not None:
             merged = self.replication.apply_write(
                 self, key, key_id, merge, origin=origin

@@ -6,9 +6,11 @@ The observability layer threaded through every tier of the stack:
   contextvars propagation across threads and asyncio tasks, explicit
   id propagation across the serving pool's process boundary, and a
   zero-overhead no-op path when disabled.
-- :mod:`repro.obs.metrics` — process-wide named :class:`Counter`,
-  :class:`Gauge`, and :class:`LatencyHistogram` (now mergeable and
-  linearly interpolated) behind one :func:`get_hub` registry.
+- :mod:`repro.obs.metrics` — named :class:`Counter`,
+  :class:`CounterFamily`, and :class:`LatencyHistogram` (mergeable,
+  linearly interpolated) in a :class:`MetricsHub`; each simulated
+  network owns one (``network.metrics``), and hubs merge across worker
+  processes by metric kind.
 - :mod:`repro.obs.export` — JSONL span sink with deterministic
   per-trace sampling, and a slow-query log.
 
@@ -20,10 +22,9 @@ from .export import JsonlSpanSink, SlowQueryLog, TraceSampler
 from .metrics import (
     DEFAULT_BUCKET_BOUNDS_MS,
     Counter,
-    Gauge,
+    CounterFamily,
     LatencyHistogram,
     MetricsHub,
-    get_hub,
 )
 from .trace import (
     NOOP_SPAN,
@@ -38,8 +39,8 @@ from .trace import (
 
 __all__ = [
     "Counter",
+    "CounterFamily",
     "DEFAULT_BUCKET_BOUNDS_MS",
-    "Gauge",
     "JsonlSpanSink",
     "LatencyHistogram",
     "MetricsHub",
@@ -51,7 +52,6 @@ __all__ = [
     "Tracer",
     "current_span",
     "format_span_tree",
-    "get_hub",
     "get_tracer",
     "set_global_tracer",
 ]

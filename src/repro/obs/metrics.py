@@ -1,35 +1,34 @@
-"""Process-wide named metrics: counters, gauges, and histograms.
+"""Named metrics: counters, counter families, and latency histograms.
 
-This generalizes the serving tier's request metrics into a registry any
-layer can use without holding a reference to the gateway:
-:func:`get_hub` returns the process-wide :class:`MetricsHub`, and
-``hub.counter("overlay.path_cache_hits").add()`` is the whole API.
+A :class:`MetricsHub` is a get-or-create registry: each
+:class:`~repro.net.network.P2PNetwork` owns one (``network.metrics``),
+so every layer that holds the network records into the same place and
+two networks in one process never mix their counts.  Look a metric up
+once and keep the object: ``self._hits = hub.counter("overlay.hits")``,
+then ``self._hits.add()`` on the hot path.
 
-:class:`LatencyHistogram` carries two pieces the serving tier needs for
-cross-worker aggregation:
+Every metric has a lossless plain-data ``to_state()`` form and a
+``merge`` that follows its kind — counters sum, counter families sum
+per label, histograms merge bucket-exactly — so
+:meth:`MetricsHub.merge_state` folds the hubs of separate worker
+processes into one fleet-wide view with no per-name table.
 
-- :meth:`LatencyHistogram.merge` — pool workers are separate processes,
-  so each keeps its own histogram; the gateway merges their
-  :meth:`to_state` snapshots into one distribution for ``/stats``.
-- within-bucket **linear interpolation** for :meth:`percentile_ms` —
-  samples are assumed to spread uniformly inside a bucket, so a
-  percentile is not biased high by up to one bucket width.
+:meth:`LatencyHistogram.percentile_ms` interpolates linearly within a
+bucket (samples are assumed to spread uniformly inside it), so a
+percentile is not biased high by up to one bucket width.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 __all__ = [
     "DEFAULT_BUCKET_BOUNDS_MS",
     "Counter",
     "CounterFamily",
-    "Gauge",
-    "GaugeFamily",
     "LatencyHistogram",
     "MetricsHub",
-    "get_hub",
 ]
 
 #: Upper bounds (milliseconds) of the latency buckets; the last bucket
@@ -52,7 +51,7 @@ class Counter:
 
     def add(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
 
@@ -61,28 +60,17 @@ class Counter:
         with self._lock:
             return self._value
 
+    def merge(self, other: "Counter") -> None:
+        self.add(other.value)
 
-class Gauge:
-    """A thread-safe point-in-time value (set or adjusted)."""
+    def to_state(self) -> int:
+        return self.value
 
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+    @classmethod
+    def from_state(cls, state: object) -> "Counter":
+        counter = cls()
+        counter.add(_count(state))
+        return counter
 
 
 class CounterFamily:
@@ -90,7 +78,7 @@ class CounterFamily:
 
     The attribution form of :class:`Counter`: one family per metric
     name, one counter per label, so readers can tell a hot super-peer
-    from uniform load instead of seeing a single process-wide total.
+    from uniform load instead of seeing a single total.
     Labels are coerced to strings (the snapshot is JSON-ready as-is).
     """
 
@@ -102,7 +90,7 @@ class CounterFamily:
 
     def add(self, key: object, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a GaugeFamily")
+            raise ValueError("counters only go up")
         label = str(key)
         with self._lock:
             self._values[label] = self._values.get(label, 0) + amount
@@ -116,29 +104,23 @@ class CounterFamily:
         with self._lock:
             return dict(sorted(self._values.items()))
 
+    def merge(self, other: "CounterFamily") -> None:
+        for label, amount in other.values().items():
+            self.add(label, amount)
 
-class GaugeFamily:
-    """Point-in-time values keyed by a label value (e.g. per-super-peer
-    window load).  Labels are coerced to strings."""
+    def to_state(self) -> dict[str, int]:
+        return self.values()
 
-    __slots__ = ("_lock", "_values")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._values: dict[str, float] = {}
-
-    def set(self, key: object, value: float) -> None:
-        with self._lock:
-            self._values[str(key)] = float(value)
-
-    def value(self, key: object) -> float:
-        with self._lock:
-            return self._values.get(str(key), 0.0)
-
-    def values(self) -> dict[str, float]:
-        """Per-label values (a copy, sorted by label)."""
-        with self._lock:
-            return dict(sorted(self._values.items()))
+    @classmethod
+    def from_state(cls, state: object) -> "CounterFamily":
+        if not isinstance(state, Mapping):
+            raise ValueError(
+                f"counter family state must be a mapping: {state!r}"
+            )
+        family = cls()
+        for label, amount in state.items():
+            family.add(label, _count(amount))
+        return family
 
 
 class LatencyHistogram:
@@ -277,124 +259,119 @@ class LatencyHistogram:
         }
 
 
-class MetricsHub:
-    """Named get-or-create registry of counters, gauges, histograms.
 
-    One hub per process (:func:`get_hub`); a name maps to exactly one
-    metric kind — asking for ``counter(name)`` after ``gauge(name)``
-    raises, catching cross-layer naming collisions early.
+
+Metric = Union[Counter, CounterFamily, LatencyHistogram]
+
+#: State section of each metric kind (the keys of
+#: :meth:`MetricsHub.to_state`).
+_KINDS: dict[str, type] = {
+    "counters": Counter,
+    "counter_families": CounterFamily,
+    "histograms": LatencyHistogram,
+}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+
+def _count(value: object) -> int:
+    """A counter amount from untrusted state: a non-negative int."""
+    if not isinstance(value, int) or value < 0:
+        raise ValueError(f"counter state must be an int >= 0: {value!r}")
+    return value
+
+
+class MetricsHub:
+    """Named get-or-create registry of counters, counter families and
+    latency histograms.
+
+    A name maps to exactly one metric kind: asking for
+    ``counter(name)`` after ``histogram(name)`` raises, catching
+    cross-layer naming collisions early.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, LatencyHistogram] = {}
-        self._counter_families: dict[str, CounterFamily] = {}
-        self._gauge_families: dict[str, GaugeFamily] = {}
+        self._metrics: dict[str, Metric] = {}
 
-    def _check_free(self, name: str, kind: str) -> None:
-        for other_kind, table in (
-            ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("histogram", self._histograms),
-            ("counter_family", self._counter_families),
-            ("gauge_family", self._gauge_families),
-        ):
-            if other_kind != kind and name in table:
+    def _get(
+        self, name: str, kind: type, make: Callable[[], Metric]
+    ) -> Metric:
+        with self._lock:
+            metric = self._metrics.get(name)
+            if metric is None:
+                metric = self._metrics[name] = make()
+            elif type(metric) is not kind:
                 raise ValueError(
-                    f"metric {name!r} already registered as a "
-                    f"{other_kind}"
+                    f"metric {name!r} already registered as "
+                    f"{_KIND_OF[type(metric)]}"
                 )
+            return metric
 
     def counter(self, name: str) -> Counter:
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                self._check_free(name, "counter")
-                metric = self._counters[name] = Counter()
-            return metric
-
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                self._check_free(name, "gauge")
-                metric = self._gauges[name] = Gauge()
-            return metric
+        return self._get(name, Counter, Counter)
 
     def counter_family(self, name: str) -> CounterFamily:
-        with self._lock:
-            metric = self._counter_families.get(name)
-            if metric is None:
-                self._check_free(name, "counter_family")
-                metric = self._counter_families[name] = CounterFamily()
-            return metric
-
-    def gauge_family(self, name: str) -> GaugeFamily:
-        with self._lock:
-            metric = self._gauge_families.get(name)
-            if metric is None:
-                self._check_free(name, "gauge_family")
-                metric = self._gauge_families[name] = GaugeFamily()
-            return metric
+        return self._get(name, CounterFamily, CounterFamily)
 
     def histogram(
-        self, name: str, bounds_ms: Sequence[float] | None = None
+        self, name: str, bounds_ms: Sequence[float] = DEFAULT_BUCKET_BOUNDS_MS
     ) -> LatencyHistogram:
+        return self._get(
+            name, LatencyHistogram, lambda: LatencyHistogram(bounds_ms)
+        )
+
+    def to_state(self) -> dict[str, dict[str, object]]:
+        """Lossless plain-data form (pickle/JSON-safe), by kind then
+        name: what a worker process ships for :meth:`merge_state`."""
         with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                self._check_free(name, "histogram")
-                metric = self._histograms[name] = LatencyHistogram(
-                    bounds_ms or DEFAULT_BUCKET_BOUNDS_MS
-                )
-            return metric
+            metrics = sorted(self._metrics.items())
+        state: dict[str, dict[str, object]] = {kind: {} for kind in _KINDS}
+        for name, metric in metrics:
+            state[_KIND_OF[type(metric)]][name] = metric.to_state()
+        return state
 
-    def snapshot(self) -> dict[str, object]:
-        """Plain-data view of every registered metric (JSON-ready)."""
+    def merge_state(self, state: Mapping[str, Mapping[str, object]]) -> None:
+        """Fold another hub's :meth:`to_state` into this one by kind:
+        counters sum, counter families sum per label, histograms merge
+        bucket-exactly.
+
+        Raises:
+            ValueError: before anything is merged, when a name is
+                registered here (or elsewhere in ``state``) as another
+                kind, a histogram's bounds differ from this hub's, or
+                the state is malformed.
+        """
+        incoming: dict[str, Metric] = {}
+        for kind, entries in state.items():
+            cls = _KINDS.get(kind)
+            if cls is None:
+                raise ValueError(f"unknown metric kind {kind!r}")
+            for name, metric_state in entries.items():
+                if name in incoming:
+                    raise ValueError(f"metric {name!r} appears as two kinds")
+                incoming[name] = cls.from_state(metric_state)
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-            counter_families = dict(self._counter_families)
-            gauge_families = dict(self._gauge_families)
-        return {
-            "counters": {
-                name: metric.value
-                for name, metric in sorted(counters.items())
-            },
-            "gauges": {
-                name: metric.value
-                for name, metric in sorted(gauges.items())
-            },
-            "histograms": {
-                name: metric.as_dict()
-                for name, metric in sorted(histograms.items())
-            },
-            "counter_families": {
-                name: metric.values()
-                for name, metric in sorted(counter_families.items())
-            },
-            "gauge_families": {
-                name: metric.values()
-                for name, metric in sorted(gauge_families.items())
-            },
-        }
-
-    def reset(self) -> None:
-        """Drop every registered metric (tests and benchmarks)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._counter_families.clear()
-            self._gauge_families.clear()
-
-
-_global_hub = MetricsHub()
-
-
-def get_hub() -> MetricsHub:
-    """The process-wide metrics hub."""
-    return _global_hub
+            for name, metric in incoming.items():
+                current = self._metrics.get(name)
+                if current is None:
+                    continue
+                if type(current) is not type(metric):
+                    raise ValueError(
+                        f"metric {name!r} is {_KIND_OF[type(current)]} "
+                        f"here but {_KIND_OF[type(metric)]} in the state"
+                    )
+                if (
+                    isinstance(current, LatencyHistogram)
+                    and current.bounds_ms != metric.bounds_ms
+                ):
+                    raise ValueError(
+                        f"histogram {name!r} has bounds "
+                        f"{current.bounds_ms!r} here but "
+                        f"{metric.bounds_ms!r} in the state"
+                    )
+            for name, metric in incoming.items():
+                current = self._metrics.get(name)
+                if current is None:
+                    self._metrics[name] = metric
+                else:
+                    current.merge(metric)  # type: ignore[arg-type]

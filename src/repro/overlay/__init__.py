@@ -25,7 +25,7 @@ top-k rankings to ``hdk`` — only hop counts and mid-path answering
 change.
 """
 
-from .routing import HierarchicalRouter, RouterStats
+from .routing import HierarchicalRouter
 from .summaries import ClusterSummary
 from .topology import Cluster, SuperPeerTopology
 
@@ -33,6 +33,5 @@ __all__ = [
     "Cluster",
     "ClusterSummary",
     "HierarchicalRouter",
-    "RouterStats",
     "SuperPeerTopology",
 ]

@@ -56,20 +56,18 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError, PeerNotFoundError
 from ..index.bloom import optimal_bits_per_element
 from ..net.accounting import Phase
 from ..net.messages import MessageKind
 from ..net.network import P2PNetwork
-from ..obs.metrics import get_hub
 from ..retrieval.cache import QueryResultCache
 from .summaries import ClusterSummary, scan_cluster_key_ids, summary_for_scan
 from .topology import Cluster, SuperPeerTopology
 
-__all__ = ["HierarchicalRouter", "RouterStats"]
+__all__ = ["HierarchicalRouter", "render_overlay_stats"]
 
 #: Cached marker for "the responsible peer stores nothing under this
 #: key" — distinct from a cache miss (no entry at all).
@@ -88,34 +86,6 @@ class _KeyProbe:
 
     def __init__(self, key: Any) -> None:
         self.term_set = key
-
-
-@dataclass
-class RouterStats:
-    """Counters over the router's lifetime (monotonic; survive
-    re-clustering even though the caches themselves are dropped)."""
-
-    lookups: int = 0
-    inserts: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Subset of ``cache_hits`` answered at the querying leaf's *own*
-    #: super-peer (adaptive multi-level caching).
-    local_cache_hits: int = 0
-    summary_skips: int = 0
-    rebuilds: int = 0
-    #: Summary (re)builds installed — full refreshes, saturation
-    #: rebuilds, and per-half rebuilds after splits/merges.
-    summary_rebuilds: int = 0
-    #: Crash/respawn events absorbed without a full re-cluster.
-    scoped_repairs: int = 0
-    #: ``CACHE_INVALIDATE`` fan-out messages sent to remote copies.
-    invalidations: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
 
 class HierarchicalRouter:
@@ -191,7 +161,6 @@ class HierarchicalRouter:
         self.merge_threshold = merge_threshold
         self.decision_interval = decision_interval
         self.merge_cool_down = merge_cool_down
-        self.stats = RouterStats()
         # All per-cluster state is keyed by Cluster.start (the lowest
         # member id) — unlike the list index it survives splits and
         # merges of *other* clusters.
@@ -230,9 +199,7 @@ class HierarchicalRouter:
         #: upper-half start -> consecutive calm windows so far.
         self._calm_windows: dict[int, int] = {}
         self._decision_tick = 0
-        #: super-peer id -> attribution counters (load, lookups, ...).
-        self._per_sp: dict[int, dict[str, int]] = {}
-        # Guards stats, the cache/summary maps, windows, the copy
+        # Guards the cache/summary maps, windows, the copy
         # registry, and filter mutation (Bloom add is
         # read-modify-write); the caches themselves are internally
         # locked.
@@ -240,20 +207,26 @@ class HierarchicalRouter:
         # Serializes topology mutations (refresh / split / merge /
         # scoped repair); always taken before _lock, never after.
         self._adapt_lock = threading.Lock()
-        # Process-wide observability counters (repro.obs): the same
-        # quantities as RouterStats, but readable by benches and the
-        # serving tier without a reference to this router.  The
-        # ``overlay.sp.*`` families attribute the same events to the
-        # serving super-peer.
-        hub = get_hub()
+        # One counter per event in the network's hub (describe()
+        # renders them); the ``overlay.sp.*`` families attribute the
+        # same events to the super-peer that served them.
+        hub = topology.network.metrics
         self._m_lookups = hub.counter("overlay.lookups")
+        self._m_inserts = hub.counter("overlay.inserts")
         self._m_cache_hits = hub.counter("overlay.path_cache_hits")
         self._m_cache_misses = hub.counter("overlay.path_cache_misses")
+        #: Subset of the hits answered at the querying leaf's *own*
+        #: super-peer (adaptive multi-level caching).
+        self._m_local_cache_hits = hub.counter("overlay.local_cache_hits")
         self._m_summary_skips = hub.counter("overlay.summary_skips")
-        self._m_inserts = hub.counter("overlay.inserts")
-        self._m_splits = hub.counter("overlay.splits")
-        self._m_merges = hub.counter("overlay.merges")
-        self._m_invalidations = hub.counter("overlay.cache_invalidations")
+        #: Summary (re)builds installed — full refreshes, saturation
+        #: rebuilds, and per-half rebuilds after splits/merges.
+        self._m_summary_rebuilds = hub.counter("overlay.summary_rebuilds")
+        #: Crash/respawn events absorbed without a full re-cluster.
+        self._m_scoped_repairs = hub.counter("overlay.scoped_repairs")
+        #: ``CACHE_INVALIDATE`` fan-out messages sent to remote copies.
+        self._m_invalidations = hub.counter("overlay.invalidations")
+        self._m_sp_load = hub.counter_family("overlay.sp.load")
         self._m_sp_lookups = hub.counter_family("overlay.sp.lookups")
         self._m_sp_cache_hits = hub.counter_family(
             "overlay.sp.path_cache_hits"
@@ -265,7 +238,6 @@ class HierarchicalRouter:
             "overlay.sp.summary_skips"
         )
         self._m_sp_inserts = hub.counter_family("overlay.sp.inserts")
-        self._m_window_load = hub.gauge_family("overlay.sp.window_load")
         self._rebuild_summaries()
 
     def install(self, network: P2PNetwork) -> None:
@@ -315,8 +287,6 @@ class HierarchicalRouter:
         response_size: Callable[[Any | None], int],
         key_repr: str,
     ) -> Any | None:
-        with self._lock:
-            self.stats.lookups += 1
         self._m_lookups.add()
         # The *effective* owner: the responsible peer, or — with a
         # replication manager installed — the first live replica.  A
@@ -378,14 +348,10 @@ class HierarchicalRouter:
             if payload is not None:
                 # Answered one hop away, before leaving the cluster.
                 value = None if payload is _ABSENT else payload
-                with self._lock:
-                    self.stats.cache_hits += 1
-                    self.stats.local_cache_hits += 1
-                    self._per_sp_add(local_sp, "path_cache_hits")
-                    self._note_lookup_locked(local_sp, local.start)
                 self._m_cache_hits.add()
+                self._m_local_cache_hits.add()
                 self._m_sp_cache_hits.add(local_sp)
-                self._m_sp_lookups.add(local_sp)
+                self._note_lookup(local_sp, local.start)
                 network.log_message(
                     MessageKind.LOOKUP,
                     source_id,
@@ -427,12 +393,8 @@ class HierarchicalRouter:
             self._note_lookup(home_sp, home.start)
             return value
         if self.use_summaries and not self._may_contain(home.start, key_id):
-            with self._lock:
-                self.stats.summary_skips += 1
             self._m_summary_skips.add()
             self._m_sp_summary_skips.add(home_sp)
-            with self._lock:
-                self._per_sp_add(home_sp, "summary_skips")
             if fill_local:
                 self._answer_via_local(
                     network, source_id, local_sp, home_sp, to_home,
@@ -555,38 +517,24 @@ class HierarchicalRouter:
 
     # -- attribution -----------------------------------------------------------------
 
-    def _per_sp_add(self, peer_id: int, field: str, amount: int = 1) -> None:
-        """Bump an attribution counter.  Caller holds ``_lock``."""
-        counters = self._per_sp.setdefault(peer_id, {})
-        counters[field] = counters.get(field, 0) + amount
-
     def _charge(self, peers: tuple[int, ...], source_id: int) -> None:
         """Charge one unit of routing work to every distinct peer on
         the path except the requester itself — the load signal behind
-        both the per-super-peer gauges and (adaptive only) the
-        topology's election."""
-        charged = {p for p in peers if p != source_id}
-        if not charged:
-            return
-        with self._lock:
-            for peer_id in charged:
-                self._per_sp_add(peer_id, "load")
-        if self.adaptive:
-            for peer_id in charged:
+        both ``sp_load`` and (adaptive only) the topology's election."""
+        for peer_id in {p for p in peers if p != source_id}:
+            self._m_sp_load.add(peer_id)
+            if self.adaptive:
                 self.topology.observe_load(peer_id)
 
-    def _note_lookup_locked(self, sp: int, cluster_key: int) -> None:
-        """Attribute a served lookup.  Caller holds ``_lock``."""
-        self._per_sp_add(sp, "lookups")
-        if self.adaptive:
-            self._window_lookups[cluster_key] = (
-                self._window_lookups.get(cluster_key, 0) + 1
-            )
-
     def _note_lookup(self, sp: int, cluster_key: int) -> None:
-        with self._lock:
-            self._note_lookup_locked(sp, cluster_key)
+        """Attribute a served lookup to ``sp`` and, adaptive only, to
+        its cluster's decision window."""
         self._m_sp_lookups.add(sp)
+        if self.adaptive:
+            with self._lock:
+                self._window_lookups[cluster_key] = (
+                    self._window_lookups.get(cluster_key, 0) + 1
+                )
 
     # -- RoutingPolicy: inserts / generic hops ---------------------------------------
 
@@ -627,17 +575,13 @@ class HierarchicalRouter:
         if home is None:
             # Dark range: the write was lost, nothing is cached for the
             # key (dark lookups bypass the cache), nothing to invalidate.
-            with self._lock:
-                self.stats.inserts += 1
             return
         home_sp = home.super_peer
         start = home.start
         rebuild_epoch: int | None = None
         fanout_targets: list[int] = []
+        self._m_sp_inserts.add(home_sp)
         with self._lock:
-            self.stats.inserts += 1
-            self._per_sp_add(home_sp, "inserts")
-            self._m_sp_inserts.add(home_sp)
             # Bump the generation and evict under the same lock the
             # fill path checks the generation under, so a lookup that
             # read the pre-insert value can never re-cache it after
@@ -695,10 +639,7 @@ class HierarchicalRouter:
                     key_repr=str(key_id),
                 )
                 sent += 1
-            if sent:
-                self._m_invalidations.add(sent)
-                with self._lock:
-                    self.stats.invalidations += sent
+            self._m_invalidations.add(sent)
         if rebuild_epoch is not None:
             self._rebuild_cluster_summary(home, epoch=rebuild_epoch)
 
@@ -747,8 +688,7 @@ class HierarchicalRouter:
                 if reelected is not None:
                     current = reelected
             self._drop_cluster_state(current)
-            with self._lock:
-                self.stats.scoped_repairs += 1
+            self._m_scoped_repairs.add()
             network = self.topology.network
             if self.use_summaries and any(
                 network.is_live(m) for m in current.members
@@ -791,10 +731,7 @@ class HierarchicalRouter:
                 MessageKind.CACHE_INVALIDATE, announce, holder.super_peer
             )
             sent += 1
-        if sent:
-            self._m_invalidations.add(sent)
-            with self._lock:
-                self.stats.invalidations += sent
+        self._m_invalidations.add(sent)
 
     def refresh(self) -> None:
         """Re-cluster and rebuild all routing state.
@@ -820,7 +757,6 @@ class HierarchicalRouter:
                 self._summary_rebuilding.clear()
                 self._pending_summary_adds.clear()
                 self._summaries = {}
-                self.stats.rebuilds += 1
             self._rebuild_summaries()
 
     # -- adaptive split/merge controller ---------------------------------------------
@@ -844,11 +780,6 @@ class HierarchicalRouter:
 
     def _apply_adaptation(self, scores: dict[int, int]) -> None:
         """One decision round.  Caller holds ``_adapt_lock``."""
-        clusters = self.topology.clusters
-        for cluster in clusters:
-            self._m_window_load.set(
-                cluster.super_peer, float(scores.get(cluster.start, 0))
-            )
         # Merges first: a pair must stay calm for merge_cool_down
         # *consecutive* windows (one hot window resets the count), so a
         # cluster oscillating around the thresholds never flaps.
@@ -881,7 +812,6 @@ class HierarchicalRouter:
             del self._split_pairs[upper_start]
             self._calm_windows.pop(upper_start, None)
             if merged is not None:
-                self._m_merges.add()
                 self._on_merged(lower, upper, merged)
         # One split per window, hottest first (ties to the lowest
         # start, keeping identical histories deterministic).
@@ -902,7 +832,6 @@ class HierarchicalRouter:
         lower, upper = result
         self._split_pairs[upper.start] = lower.start
         self._calm_windows[upper.start] = 0
-        self._m_splits.add()
         self._on_split(lower, upper)
 
     def _on_split(self, lower: Cluster, upper: Cluster) -> None:
@@ -977,19 +906,12 @@ class HierarchicalRouter:
             if cache is not None
             else None
         )
-        with self._lock:
-            if payload is None:
-                self.stats.cache_misses += 1
-                self._per_sp_add(sp, "path_cache_misses")
-            else:
-                self.stats.cache_hits += 1
-                self._per_sp_add(sp, "path_cache_hits")
-        (self._m_cache_misses if payload is None else self._m_cache_hits).add()
-        (
-            self._m_sp_cache_misses
-            if payload is None
-            else self._m_sp_cache_hits
-        ).add(sp)
+        if payload is None:
+            self._m_cache_misses.add()
+            self._m_sp_cache_misses.add(sp)
+        else:
+            self._m_cache_hits.add()
+            self._m_sp_cache_hits.add(sp)
         return payload
 
     def _cache_fill(
@@ -1136,42 +1058,55 @@ class HierarchicalRouter:
                 summary.add(key_id)
             del self._summary_rebuilding[cluster_key]
             self._summaries[cluster_key] = summary
-            self.stats.summary_rebuilds += 1
+        self._m_summary_rebuilds.add()
         return True
 
     # -- inspection --------------------------------------------------------------------
 
     def describe(self) -> dict[str, object]:
-        """Topology shape + routing/caching counters (backend stats)."""
-        stats = self.stats
+        """Topology shape, router configuration, and the overlay's
+        event counters (backend stats)."""
         info: dict[str, object] = dict(self.topology.describe())
-        with self._lock:
-            per_sp = {
-                str(peer_id): dict(counters)
-                for peer_id, counters in sorted(self._per_sp.items())
-            }
+        info["path_cache_capacity"] = self.path_cache_capacity
+        info["adaptive"] = self.adaptive
         info.update(
-            {
-                "path_cache_capacity": self.path_cache_capacity,
-                "adaptive": self.adaptive,
-                "lookups": stats.lookups,
-                "inserts": stats.inserts,
-                "path_cache_hits": stats.cache_hits,
-                "path_cache_misses": stats.cache_misses,
-                "path_cache_hit_rate": round(stats.cache_hit_rate, 4),
-                "local_cache_hits": stats.local_cache_hits,
-                "summary_skips": stats.summary_skips,
-                "summary_rebuilds": stats.summary_rebuilds,
-                "scoped_repairs": stats.scoped_repairs,
-                "invalidations": stats.invalidations,
-                "sp_load": {
-                    peer: counters.get("load", 0)
-                    for peer, counters in per_sp.items()
-                },
-                "per_super_peer": per_sp,
-            }
+            render_overlay_stats(self.topology.network.metrics.to_state())
         )
         return info
+
+
+def render_overlay_stats(
+    state: Mapping[str, Mapping[str, Any]]
+) -> dict[str, object]:
+    """The event keys of :meth:`HierarchicalRouter.describe`, rendered
+    from a :meth:`~repro.obs.metrics.MetricsHub.to_state` — one
+    network's hub, or several merged (the serving gateway's fleet view).
+
+    Every ``overlay.<name>`` counter becomes key ``<name>``.  Every
+    ``overlay.sp.<field>`` family becomes ``per_super_peer[peer][field]``,
+    sparse: a super-peer lists only the events it served.  ``sp_load``
+    lists the load of every super-peer in ``per_super_peer``, zero when
+    it served none."""
+    rendered: dict[str, object] = {
+        name[len("overlay."):]: value
+        for name, value in state["counters"].items()
+        if name.startswith("overlay.")
+    }
+    per_sp: dict[str, dict[str, int]] = {}
+    for name, values in state["counter_families"].items():
+        if name.startswith("overlay.sp."):
+            field = name[len("overlay.sp."):]
+            for peer, value in values.items():
+                per_sp.setdefault(peer, {})[field] = value
+    per_sp = dict(sorted(per_sp.items(), key=lambda item: int(item[0])))
+    hits = rendered.get("path_cache_hits", 0)
+    total = hits + rendered.get("path_cache_misses", 0)
+    rendered["path_cache_hit_rate"] = round(hits / total, 4) if total else 0.0
+    rendered["sp_load"] = {
+        peer: fields.get("load", 0) for peer, fields in per_sp.items()
+    }
+    rendered["per_super_peer"] = per_sp
+    return rendered
 
 
 def _summary_posting_equivalents(num_keys: int) -> int:

@@ -100,9 +100,9 @@ class SuperPeerTopology:
             )
         self.network = network
         self.fanout = fanout
-        self.rebuilds = 0
-        self.splits = 0
-        self.merges = 0
+        self._rebuilds = network.metrics.counter("overlay.rebuilds")
+        self._splits = network.metrics.counter("overlay.splits")
+        self._merges = network.metrics.counter("overlay.merges")
         #: peer id -> cumulative observed load (routing work units the
         #: adaptive router charges); the election signal.
         self._peer_load: dict[int, float] = {}
@@ -194,7 +194,7 @@ class SuperPeerTopology:
                             MessageKind.ROUTING_UPDATE, source, target
                         )
         self._state = (tuple(clusters), cluster_of)
-        self.rebuilds += 1
+        self._rebuilds.add()
 
     def _swap(self, pieces: list[Cluster]) -> tuple[Cluster, ...]:
         """Renumber ``pieces``, rebuild the member map, and swap the
@@ -268,7 +268,7 @@ class SuperPeerTopology:
             (lower, upper),
             announce=current.super_peer,
         )
-        self.splits += 1
+        self._splits.add()
         return lower, upper
 
     def merge(self, lower: Cluster, upper: Cluster) -> Cluster | None:
@@ -305,7 +305,7 @@ class SuperPeerTopology:
             (merged,),
             announce=current_upper.super_peer,
         )
-        self.merges += 1
+        self._merges.add()
         return merged
 
     def reelect(self, cluster: Cluster) -> Cluster | None:
@@ -415,13 +415,16 @@ class SuperPeerTopology:
         return [cluster.super_peer for cluster in self.clusters]
 
     def describe(self) -> dict[str, int]:
-        """Topology shape counters (for stats/reports)."""
+        """Topology shape and reshape counters (for stats/reports).
+
+        The counters live in the network's hub, so they count every
+        reshape of this network's cluster map."""
         clusters = self.clusters
         return {
             "fanout": self.fanout,
             "clusters": len(clusters),
             "peers": sum(len(c) for c in clusters),
-            "rebuilds": self.rebuilds,
-            "splits": self.splits,
-            "merges": self.merges,
+            "rebuilds": self._rebuilds.value,
+            "splits": self._splits.value,
+            "merges": self._merges.value,
         }

@@ -39,8 +39,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ReplicationManager"]
 
 #: Origin id for ops applied without an inserting peer: a direct
-#: ``P2PNetwork.apply_insert(key, merge)`` call made outside any peer's
-#: indexing.  Every peer-driven write (``P2PNetwork.insert``, the
+#: ``P2PNetwork.apply_insert(key, key_id, merge)`` call made outside
+#: any peer's indexing.  Every peer-driven write (``P2PNetwork.insert``, the
 #: indexing pipeline, stats publication) is sequenced under the
 #: inserting peer's overlay id instead.
 ANONYMOUS_ORIGIN = -1

@@ -49,9 +49,11 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
+from ..engine.service import LATENCY_METRIC
 from ..errors import ConfigurationError
-from ..obs.metrics import LatencyHistogram
+from ..obs.metrics import LatencyHistogram, MetricsHub
 from ..obs.trace import get_tracer
+from ..overlay.routing import render_overlay_stats
 from .metrics import MetricsRegistry
 from .pool import PoolShutdownError, WorkerCrashError, WorkerPool
 
@@ -536,8 +538,9 @@ def _aggregate_worker_stats(
 ) -> dict[str, Any]:
     """Fold per-worker ``SearchService.stats()`` replies into one
     fleet-wide view: summed cache counters, summed traffic totals, and
-    the per-worker latency histograms merged (via their lossless
-    ``latency_state`` twins) into a single distribution."""
+    the workers' metric hubs merged by metric kind, from which the
+    latency distribution and (``hdk_super`` workers) the overlay's
+    event counters are rendered exactly as one worker renders its own."""
     reporting = [w for w in workers if "error" not in w]
     hits = sum(int(w.get("cache_hits", 0)) for w in reporting)
     misses = sum(int(w.get("cache_misses", 0)) for w in reporting)
@@ -554,19 +557,12 @@ def _aggregate_worker_stats(
             "total_hops",
         )
     }
-    merged: LatencyHistogram | None = None
+    hub = MetricsHub()
     for worker in reporting:
-        state = worker.get("latency_state")
-        if not state:
-            continue
-        histogram = LatencyHistogram.from_state(state)
-        if merged is None:
-            merged = histogram
-        else:
-            merged.merge(histogram)
-    overlay = _merge_overlay_stats(
-        [w["overlay"] for w in reporting if isinstance(w.get("overlay"), dict)]
-    )
+        if worker.get("metrics"):
+            hub.merge_state(worker["metrics"])
+    state = hub.to_state()
+    latency = state["histograms"].get(LATENCY_METRIC)
     aggregate = {
         "workers_reporting": len(reporting),
         "workers_errored": len(workers) - len(reporting),
@@ -574,66 +570,23 @@ def _aggregate_worker_stats(
         "cache_misses": misses,
         "cache_hit_rate": round(hits / max(1, hits + misses), 4),
         "traffic": traffic_totals,
-        "latency": merged.as_dict() if merged is not None else None,
+        "latency": (
+            LatencyHistogram.from_state(latency).as_dict()
+            if latency is not None
+            else None
+        ),
     }
-    if overlay is not None:
-        aggregate["overlay"] = overlay
+    overlays = [
+        w["overlay"] for w in reporting if isinstance(w.get("overlay"), dict)
+    ]
+    if overlays:
+        # Shape and configuration from the first worker; every event
+        # key re-rendered from the merged hubs.
+        aggregate["overlay"] = {
+            **overlays[0],
+            **render_overlay_stats(state),
+        }
     return aggregate
-
-
-#: Overlay stats keys that describe configuration/shape, not events —
-#: identical across workers, so the aggregate takes the first reporting
-#: worker's value instead of summing them into nonsense.
-_OVERLAY_CONFIG_KEYS = frozenset(
-    {"fanout", "clusters", "peers", "path_cache_capacity", "adaptive"}
-)
-
-
-def _merge_overlay_stats(
-    overlays: list[dict[str, Any]]
-) -> dict[str, Any] | None:
-    """Fold per-worker ``hdk_super`` overlay stats into one view.
-
-    Counters sum; config/shape keys take the first worker's value;
-    keyed sub-dicts (``sp_load``, ``per_super_peer``) merge *per key*,
-    so a super-peer hot on one worker is not averaged away — each
-    worker simulates its own network, and summing whole dicts blind to
-    their keys was exactly the attribution loss this repairs."""
-    if not overlays:
-        return None
-    merged: dict[str, Any] = {}
-    for overlay in overlays:
-        for key, value in overlay.items():
-            if key in _OVERLAY_CONFIG_KEYS or key == "path_cache_hit_rate":
-                merged.setdefault(key, value)
-            elif isinstance(value, dict):
-                merged.setdefault(key, {})
-                _merge_keyed_counts(merged[key], value)
-            elif isinstance(value, (int, float)):
-                merged[key] = merged.get(key, 0) + value
-            else:
-                merged.setdefault(key, value)
-    hits = merged.get("path_cache_hits", 0)
-    misses = merged.get("path_cache_misses", 0)
-    merged["path_cache_hit_rate"] = round(
-        hits / max(1, hits + misses), 4
-    )
-    return merged
-
-
-def _merge_keyed_counts(
-    into: dict[str, Any], update: dict[str, Any]
-) -> None:
-    """Per-key recursive sum (``per_super_peer`` values are themselves
-    counter dicts)."""
-    for key, value in update.items():
-        if isinstance(value, dict):
-            into.setdefault(key, {})
-            _merge_keyed_counts(into[key], value)
-        elif isinstance(value, (int, float)):
-            into[key] = into.get(key, 0) + value
-        else:
-            into.setdefault(key, value)
 
 
 def _encode_response(

@@ -186,3 +186,36 @@ class TestInspection:
 
 def test_key_repr():
     assert key_repr(frozenset(["b", "a"])) == "{a+b}"
+
+
+class TestKeyHashedOnce:
+    """An insert hashes its key once: the send returns the id and the
+    merge at the responsible peer reuses it."""
+
+    @pytest.fixture()
+    def key_id_calls(self, monkeypatch):
+        calls = []
+        original = P2PNetwork._key_id
+
+        def counting(key):
+            calls.append(key)
+            return original(key)
+
+        monkeypatch.setattr(P2PNetwork, "_key_id", staticmethod(counting))
+        return calls
+
+    def test_insert_hashes_once(self, index, key_id_calls):
+        index.insert("peer-0", key("alpha"), pl(1, 2))
+        # The transition to NDK (notifications) must not hash again.
+        index.insert("peer-1", key("alpha"), pl(3, 4))
+        assert key_id_calls == [key("alpha")] * 2
+
+    def test_staged_insert_hashes_once(self, index, key_id_calls):
+        staged = index.stage_insert("peer-0", key("beta", "gamma"), pl(5))
+        assert staged.key_id == index.network.key_id(key("beta", "gamma"))
+        key_id_calls.clear()
+        staged = index.stage_insert("peer-1", key("beta", "gamma"), pl(6))
+        index.apply_staged(staged)
+        assert key_id_calls == [key("beta", "gamma")]
+        entry = index.lookup("peer-2", key("beta", "gamma"))
+        assert entry.global_df == 1

@@ -1,17 +1,20 @@
-"""Metrics unit tests: counters/gauges, histogram interpolation and
-merging, the lossless state round-trip, and the named hub."""
+"""Metrics unit tests: counters, histogram interpolation and merging,
+the lossless state round-trip, and the named hub with its merge by
+metric kind."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_BUCKET_BOUNDS_MS,
     Counter,
-    Gauge,
     LatencyHistogram,
     MetricsHub,
-    get_hub,
 )
 
 
@@ -25,12 +28,6 @@ class TestCounterGauge:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             Counter().add(-1)
-
-    def test_gauge_set_and_add(self):
-        gauge = Gauge()
-        gauge.set(3.5)
-        gauge.add(-1.5)
-        assert gauge.value == 2.0
 
 
 class TestHistogramInterpolation:
@@ -130,32 +127,141 @@ class TestMetricsHub:
     def test_get_or_create_returns_same_instance(self):
         hub = MetricsHub()
         assert hub.counter("a") is hub.counter("a")
-        assert hub.gauge("g") is hub.gauge("g")
+        assert hub.counter_family("f") is hub.counter_family("f")
         assert hub.histogram("h") is hub.histogram("h")
 
     def test_cross_kind_name_collision_raises(self):
         hub = MetricsHub()
         hub.counter("x")
         with pytest.raises(ValueError):
-            hub.gauge("x")
+            hub.counter_family("x")
         with pytest.raises(ValueError):
             hub.histogram("x")
 
-    def test_snapshot_is_plain_data(self):
+    def test_to_state_is_plain_data(self):
         hub = MetricsHub()
         hub.counter("c").add(2)
-        hub.gauge("g").set(1.5)
+        hub.counter_family("f").add(7, 3)
         hub.histogram("h").observe(3.0)
-        snapshot = hub.snapshot()
-        assert snapshot["counters"] == {"c": 2}
-        assert snapshot["gauges"] == {"g": 1.5}
-        assert snapshot["histograms"]["h"]["count"] == 1
+        state = hub.to_state()
+        assert state["counters"] == {"c": 2}
+        assert state["counter_families"] == {"f": {"7": 3}}
+        assert state["histograms"]["h"]["total"] == 1
+        assert pickle.loads(pickle.dumps(state)) == state
 
-    def test_reset_drops_everything(self):
+
+#: One recorded event: (kind, metric name, label, amount or sample).
+#: Each name belongs to one kind, so two streams never clash.
+_EVENTS = st.one_of(
+    st.tuples(
+        st.just("counter"),
+        st.sampled_from(["counter.a", "counter.b"]),
+        st.none(),
+        st.integers(0, 5),
+    ),
+    st.tuples(
+        st.just("family"),
+        st.sampled_from(["family.a", "family.b"]),
+        st.integers(0, 3),
+        st.integers(0, 5),
+    ),
+    st.tuples(
+        st.just("histogram"),
+        st.sampled_from(["histogram.a", "histogram.b"]),
+        st.none(),
+        # Quarter-millisecond samples: exact in binary floating point,
+        # so a histogram's float sum does not depend on the order its
+        # samples were added in, and they land on bucket bounds too.
+        st.integers(0, 40_000).map(lambda quarters: quarters / 4),
+    ),
+)
+
+
+def _feed(hub: MetricsHub, events) -> MetricsHub:
+    for kind, name, label, value in events:
+        if kind == "counter":
+            hub.counter(name).add(value)
+        elif kind == "family":
+            hub.counter_family(name).add(label, value)
+        else:
+            hub.histogram(name).observe(value)
+    return hub
+
+
+class TestHubMerge:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_EVENTS, max_size=30), st.lists(_EVENTS, max_size=30))
+    def test_merge_equals_one_hub_fed_both_streams(self, left, right):
+        merged = _feed(MetricsHub(), left)
+        merged.merge_state(_feed(MetricsHub(), right).to_state())
+        assert merged.to_state() == _feed(MetricsHub(), left + right).to_state()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_EVENTS, max_size=30), st.lists(_EVENTS, max_size=30))
+    def test_merge_through_pickle_into_empty_hub(self, left, right):
+        # The gateway's path: states cross a process boundary and fold
+        # into a fresh hub one worker at a time.
+        fleet = MetricsHub()
+        for events in (left, right):
+            state = _feed(MetricsHub(), events).to_state()
+            fleet.merge_state(pickle.loads(pickle.dumps(state)))
+        assert fleet.to_state() == _feed(MetricsHub(), left + right).to_state()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(_EVENTS, max_size=20),
+        st.sampled_from(["counter.a", "family.a", "histogram.a"]),
+    )
+    def test_kind_clash_raises_and_merges_nothing(self, events, name):
+        hub = _feed(MetricsHub(), [e for e in events if e[1] != name])
+        # Register ``name`` here as a kind other than the one it has in
+        # the incoming state.
+        if name.startswith("counter"):
+            hub.histogram(name)
+        else:
+            hub.counter(name)
+        before = hub.to_state()
+        other = _feed(MetricsHub(), events)
+        other.counter("counter.a").add(1)
+        other.counter_family("family.a").add("x", 1)
+        other.histogram("histogram.a").observe(1.0)
+        with pytest.raises(ValueError):
+            hub.merge_state(other.to_state())
+        assert hub.to_state() == before
+
+    def test_histogram_bounds_mismatch_raises_and_merges_nothing(self):
         hub = MetricsHub()
-        hub.counter("c").add()
-        hub.reset()
-        assert hub.snapshot()["counters"] == {}
+        hub.counter("c").add(1)
+        hub.histogram("h", (1.0, 2.0)).observe(1.5)
+        before = hub.to_state()
+        other = MetricsHub()
+        other.counter("c").add(5)
+        other.histogram("h", (1.0, 4.0)).observe(3.0)
+        with pytest.raises(ValueError):
+            hub.merge_state(other.to_state())
+        assert hub.to_state() == before
 
-    def test_global_hub_is_shared(self):
-        assert get_hub() is get_hub()
+    def test_name_under_two_kinds_in_one_state_raises(self):
+        state = MetricsHub().to_state()
+        state["counters"]["x"] = 1
+        state["counter_families"]["x"] = {"a": 1}
+        hub = MetricsHub()
+        with pytest.raises(ValueError):
+            hub.merge_state(state)
+        assert hub.to_state() == MetricsHub().to_state()
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"gauges": {"g": 1.0}},
+            {"counters": {"c": -1}},
+            {"counters": {"c": 1.5}},
+            {"counter_families": {"f": {"a": -2}}},
+            {"counter_families": {"f": [1, 2]}},
+        ],
+    )
+    def test_malformed_state_raises(self, state):
+        hub = MetricsHub()
+        with pytest.raises(ValueError):
+            hub.merge_state(state)
+        assert hub.to_state() == MetricsHub().to_state()

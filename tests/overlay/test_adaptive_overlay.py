@@ -19,7 +19,6 @@ from harness.equivalence import (
 from repro.errors import ConfigurationError
 from repro.net.messages import MessageKind
 from repro.net.network import P2PNetwork
-from repro.obs.metrics import get_hub
 from repro.overlay import HierarchicalRouter, SuperPeerTopology
 from repro.overlay.summaries import ClusterSummary, summary_for_scan
 from repro.serving.gateway import _aggregate_worker_stats
@@ -224,7 +223,7 @@ class TestSplitMerge:
     def test_hot_cluster_splits(self):
         network, router, hot, keys, source = self.heat_and_split()
         topology = router.topology
-        assert topology.splits >= 1
+        assert topology.describe()["splits"] >= 1
         assert len(topology.clusters) >= 5  # 4 base clusters + a split
         # The split halves cover exactly the original member run.
         by_start = {c.start: c for c in topology.clusters}
@@ -237,7 +236,7 @@ class TestSplitMerge:
     def test_split_pair_merges_after_cool_down(self):
         network, router, hot, keys, source = self.heat_and_split()
         topology = router.topology
-        splits = topology.splits
+        splits = topology.describe()["splits"]
         assert splits >= 1
         # Calm traffic: absent keys homed outside the split range, so
         # the pair's windowed score is 0 for merge_cool_down windows.
@@ -246,7 +245,7 @@ class TestSplitMerge:
         )
         for key in cold:
             lookup(network, source, key)
-        assert topology.merges >= 1
+        assert topology.describe()["merges"] >= 1
         for key in keys:
             assert lookup(network, source, key) == [1]
 
@@ -254,7 +253,7 @@ class TestSplitMerge:
         network, router, hot, keys, source = self.heat_and_split()
         topology = router.topology
         interval = router.decision_interval
-        merges_before = topology.merges
+        merges_before = topology.describe()["merges"]
         # Alternate windows: warm-on-the-pair (score above the merge
         # threshold, below the split threshold), then fully calm.  The
         # warm window resets the calm streak every time, so the pair
@@ -277,7 +276,7 @@ class TestSplitMerge:
                 lookup(network, source, key)
             for key in cold[interval - len(warm) :]:
                 lookup(network, source, key)
-        assert topology.merges == merges_before
+        assert topology.describe()["merges"] == merges_before
 
     def test_rebuild_clears_split_boundaries(self):
         network, router, hot, keys, source = self.heat_and_split()
@@ -309,10 +308,12 @@ class TestMultiLevelCache:
         source = peer_outside(network, hot.members)
         insert(network, source, key, [1])
         assert lookup(network, source, key) == [1]  # fills both levels
-        local_hits_before = router.stats.local_cache_hits
+        local_hits_before = router.describe()["local_cache_hits"]
         with network.accounting.measure() as window:
             assert lookup(network, source, key) == [1]
-        assert router.stats.local_cache_hits == local_hits_before + 1
+        assert (
+            router.describe()["local_cache_hits"] == local_hits_before + 1
+        )
         # Answered inside the source's own cluster: at most one hop
         # each way, and the response still carries the full payload.
         assert window.delta.total_hops <= 2
@@ -326,14 +327,16 @@ class TestMultiLevelCache:
         insert(network, source, key, [1])
         lookup(network, source, key)
         lookup(network, source, key)  # local copy now live
-        invalidations_before = router.stats.invalidations
+        invalidations_before = router.describe()["invalidations"]
         with network.accounting.measure() as window:
             insert(network, source, key, [2])
         fanout = window.delta.messages_by_kind.get(
             MessageKind.CACHE_INVALIDATE, 0
         )
         assert fanout >= 1
-        assert router.stats.invalidations == invalidations_before + fanout
+        assert (
+            router.describe()["invalidations"] == invalidations_before + fanout
+        )
         # The stale copy must be gone at *both* levels.
         assert lookup(network, source, key) == [1, 2]
         assert lookup(network, source, key) == [1, 2]
@@ -364,9 +367,9 @@ class TestMultiLevelCache:
         key = keys_homed_in(network, hot.members, 1, tag="absent")[0]
         source = peer_outside(network, hot.members)
         assert lookup(network, source, key) is None
-        local_before = router.stats.local_cache_hits
+        local_before = router.describe()["local_cache_hits"]
         assert lookup(network, source, key) is None
-        assert router.stats.local_cache_hits == local_before + 1
+        assert router.describe()["local_cache_hits"] == local_before + 1
 
 
 class TestScopedCrashRepair:
@@ -393,22 +396,22 @@ class TestScopedCrashRepair:
         # every cluster's path cache and re-cluster the world.
         network, router, key, source, home, victim_cluster = self.prime()
         victim = name_of(network, victim_cluster.members[-1])
-        rebuilds_before = router.topology.rebuilds
+        rebuilds_before = router.topology.describe()["rebuilds"]
         network.kill_peer(victim)
-        assert router.topology.rebuilds == rebuilds_before
-        assert router.stats.scoped_repairs == 1
-        hits_before = router.stats.cache_hits
+        assert router.topology.describe()["rebuilds"] == rebuilds_before
+        assert router.describe()["scoped_repairs"] == 1
+        hits_before = router.describe()["path_cache_hits"]
         assert lookup(network, source, key) == [1]
-        assert router.stats.cache_hits == hits_before + 1
+        assert router.describe()["path_cache_hits"] == hits_before + 1
 
     def test_respawn_elsewhere_is_scoped_too(self):
         network, router, key, source, home, victim_cluster = self.prime()
         victim = name_of(network, victim_cluster.members[-1])
-        rebuilds_before = router.topology.rebuilds
+        rebuilds_before = router.topology.describe()["rebuilds"]
         network.kill_peer(victim)
         network.respawn_peer(victim)
-        assert router.topology.rebuilds == rebuilds_before
-        assert router.stats.scoped_repairs == 2
+        assert router.topology.describe()["rebuilds"] == rebuilds_before
+        assert router.describe()["scoped_repairs"] == 2
         assert lookup(network, source, key) == [1]
 
     def test_crashed_super_peer_triggers_reelection(self):
@@ -444,15 +447,15 @@ class TestScopedCrashRepair:
             and m != network.id_of(source)
         )
         network.kill_peer(name_of(network, victim))
-        misses_before = router.stats.cache_misses
+        misses_before = router.describe()["path_cache_misses"]
         assert lookup(network, source, key) == [1]  # re-routed, not cached
-        assert router.stats.cache_misses == misses_before + 1
+        assert router.describe()["path_cache_misses"] == misses_before + 1
 
     def test_join_still_triggers_full_rebuild(self):
         network, router, *_ = self.prime()
-        rebuilds_before = router.topology.rebuilds
+        rebuilds_before = router.topology.describe()["rebuilds"]
         network.add_peer("join-after-crash-test")
-        assert router.topology.rebuilds == rebuilds_before + 1
+        assert router.topology.describe()["rebuilds"] == rebuilds_before + 1
 
     def test_respawn_after_full_rebuild_falls_back_to_refresh(self):
         # Crash, then a join re-clusters the (live) population — the
@@ -464,9 +467,9 @@ class TestScopedCrashRepair:
         network.remove_peer(
             name_of(network, victim_cluster.members[0])
         )  # full rebuild without the victim
-        rebuilds_before = router.topology.rebuilds
+        rebuilds_before = router.topology.describe()["rebuilds"]
         network.respawn_peer(victim)
-        assert router.topology.rebuilds == rebuilds_before + 1
+        assert router.topology.describe()["rebuilds"] == rebuilds_before + 1
         assert lookup(network, source, key) == [1]
 
 
@@ -485,9 +488,9 @@ class TestSummarySingleFlight:
         start = router.topology.cluster_of_peer(owner).start
         with router._lock:
             router._summaries[start] = self.saturated_summary()
-        rebuilds_before = router.stats.summary_rebuilds
+        rebuilds_before = router.describe()["summary_rebuilds"]
         insert(network, "peer-000", key, [1])
-        assert router.stats.summary_rebuilds == rebuilds_before + 1
+        assert router.describe()["summary_rebuilds"] == rebuilds_before + 1
         with router._lock:
             assert start not in router._summary_rebuilding
         # The rebuilt filter still claims the freshly inserted key.
@@ -504,10 +507,10 @@ class TestSummarySingleFlight:
             epoch = router._summary_epoch
             router._summary_rebuilding[start] = epoch
             router._pending_summary_adds[start] = []
-        rebuilds_before = router.stats.summary_rebuilds
+        rebuilds_before = router.describe()["summary_rebuilds"]
         insert(network, "peer-000", key, [1])
         # The in-flight marker absorbed the saturation: no second scan.
-        assert router.stats.summary_rebuilds == rebuilds_before
+        assert router.describe()["summary_rebuilds"] == rebuilds_before
         key_id = network._key_id(key)
         with router._lock:
             assert key_id in router._pending_summary_adds[start]
@@ -565,20 +568,18 @@ class TestSummarySingleFlight:
 
 class TestPerSuperPeerAttribution:
     def test_hub_families_keyed_by_super_peer(self):
-        hub = get_hub()
-        fam_lookups = hub.counter_family("overlay.sp.lookups")
         network, router = make_static()
+        fam_lookups = network.metrics.counter_family("overlay.sp.lookups")
         key = frozenset({"attributed"})
         owner = network.responsible_peer_for(key)
         home = router.topology.cluster_of_peer(owner)
         source = peer_outside(network, home.members)
-        before = fam_lookups.value(home.super_peer)
         insert(network, source, key, [1])
         lookup(network, source, key)
         lookup(network, source, key)
-        assert fam_lookups.value(home.super_peer) == before + 2
-        inserts_fam = hub.counter_family("overlay.sp.inserts")
-        assert inserts_fam.value(home.super_peer) >= 1
+        assert fam_lookups.value(home.super_peer) == 2
+        inserts_fam = network.metrics.counter_family("overlay.sp.inserts")
+        assert inserts_fam.value(home.super_peer) == 1
 
     def test_describe_reports_per_super_peer_counters(self):
         network, router = make_static()
@@ -594,57 +595,94 @@ class TestPerSuperPeerAttribution:
         assert info["per_super_peer"][sp_key]["lookups"] >= 1
         assert info["sp_load"][sp_key] >= 1
         # Totals still present for existing consumers.
-        assert info["lookups"] == router.stats.lookups
+        assert info["lookups"] == 1
 
     def test_unkeyed_totals_still_maintained(self):
-        hub = get_hub()
-        total = hub.counter("overlay.lookups")
         network, router = make_static()
+        total = network.metrics.counter("overlay.lookups")
         key = frozenset({"totals"})
         insert(network, "peer-000", key, [1])
-        before = total.value
+        assert total.value == 0
         lookup(network, "peer-005", key)
-        assert total.value == before + 1
+        assert total.value == 1
+        assert router.describe()["lookups"] == 1
 
-    def test_gateway_merges_overlay_stats_per_key(self):
-        def worker(sp_load, per_sp, hits, misses):
-            return {
-                "cache_hits": 0,
-                "cache_misses": 0,
-                "traffic": {},
-                "overlay": {
-                    "fanout": 4,
-                    "clusters": 3,
-                    "peers": 12,
-                    "path_cache_capacity": 64,
-                    "adaptive": True,
-                    "lookups": 10,
-                    "path_cache_hits": hits,
-                    "path_cache_misses": misses,
-                    "path_cache_hit_rate": 0.0,
-                    "sp_load": sp_load,
-                    "per_super_peer": per_sp,
-                },
+    def test_gateway_merges_overlay_stats_per_key(self, overlay_workers):
+        replies = [service.stats() for service in overlay_workers]
+        first, second = (reply["overlay"] for reply in replies)
+        merged = _aggregate_worker_stats(replies)["overlay"]
+        # Per-label sums across the workers' hubs, for the load view
+        # and for every sparse attribution field.
+        labels = set(first["per_super_peer"]) | set(second["per_super_peer"])
+        assert set(merged["sp_load"]) == labels
+        for label in labels:
+            assert merged["sp_load"][label] == first["sp_load"].get(
+                label, 0
+            ) + second["sp_load"].get(label, 0)
+            fields = set(first["per_super_peer"].get(label, {})) | set(
+                second["per_super_peer"].get(label, {})
+            )
+            assert merged["per_super_peer"][label] == {
+                field: first["per_super_peer"].get(label, {}).get(field, 0)
+                + second["per_super_peer"].get(label, {}).get(field, 0)
+                for field in fields
             }
+        # The workers run different fanouts: shape comes from the first.
+        assert first["fanout"] != second["fanout"]
+        for key in ("fanout", "clusters", "peers", "path_cache_capacity"):
+            assert merged[key] == first[key]
+        assert set(merged) == set(first)
+        # Event counters sum; the hit rate is recomputed, not summed.
+        for key in ("lookups", "inserts", "path_cache_hits", "splits"):
+            assert merged[key] == first[key] + second[key]
+        hits = first["path_cache_hits"] + second["path_cache_hits"]
+        misses = first["path_cache_misses"] + second["path_cache_misses"]
+        assert merged["path_cache_hit_rate"] == round(
+            hits / (hits + misses), 4
+        )
+        # The latency histograms merge bucket-exactly.
+        latency = _aggregate_worker_stats(replies)["latency"]
+        assert latency["count"] == sum(
+            reply["latency"]["count"] for reply in replies
+        )
 
-        workers = [
-            worker({"5": 3, "9": 1}, {"5": {"load": 3, "lookups": 2}}, 4, 6),
-            worker({"5": 2}, {"5": {"load": 2}, "9": {"lookups": 7}}, 1, 9),
-        ]
-        merged = _aggregate_worker_stats(workers)["overlay"]
-        # Per-key sums — not whole-dict overwrites, not blind totals.
-        assert merged["sp_load"] == {"5": 5, "9": 1}
-        assert merged["per_super_peer"]["5"] == {"load": 5, "lookups": 2}
-        assert merged["per_super_peer"]["9"] == {"lookups": 7}
-        # Counters sum, config keys take-first, hit rate recomputed.
-        assert merged["lookups"] == 20
-        assert merged["fanout"] == 4
-        assert merged["clusters"] == 3
-        assert merged["path_cache_hit_rate"] == round(5 / 20, 4)
+    def test_services_in_one_process_keep_separate_counters(
+        self, overlay_workers
+    ):
+        first, second = overlay_workers
+        assert first.network.metrics is not second.network.metrics
+        before = first.stats()["overlay"]
+        second_lookups = second.stats()["overlay"]["lookups"]
+        second.search("t00001 t00002", k=5)
+        assert first.stats()["overlay"] == before
+        assert second.stats()["overlay"]["lookups"] > second_lookups
 
     def test_gateway_aggregate_without_overlay_workers(self):
         workers = [{"cache_hits": 1, "cache_misses": 0, "traffic": {}}]
         assert "overlay" not in _aggregate_worker_stats(workers)
+
+
+@pytest.fixture(scope="module")
+def overlay_workers(small_collection, small_params):
+    """Two adaptive ``hdk_super`` services in one process, with
+    different fanouts and query streams (stand-ins for pool workers)."""
+    queries = make_querylog(small_collection, small_params, 12)
+    services = []
+    for fanout, stream in ((4, queries), (3, queries[::-1] * 3)):
+        service = build_indexed_service(
+            small_collection,
+            "hdk_super",
+            small_params,
+            num_peers=12,
+            overlay_fanout=fanout,
+            overlay_adaptive=True,
+            overlay_split_threshold=8,
+            overlay_merge_threshold=2,
+        )
+        for query in stream:
+            service.search(query, k=10)
+        services.append(service)
+    return services
 
 
 class TestServiceEquivalence:
@@ -676,20 +714,20 @@ class TestServiceEquivalence:
         for _ in range(20):
             rows = query_fingerprint(adaptive, queries, k=10, strict=False)
             assert_fingerprints_equal(reference, rows, context="replay")
-            if router.topology.splits:
+            if router.topology.describe()["splits"]:
                 break
-        assert router.topology.splits >= 1
+        assert router.topology.describe()["splits"] >= 1
         assert_fingerprints_equal(
             reference,
             query_fingerprint(adaptive, queries, k=10, strict=False),
             context="post-split",
         )
         # Force the merge path: feed empty (calm) decision windows.
-        merges_before = router.topology.merges
+        merges_before = router.topology.describe()["merges"]
         for _ in range(router.merge_cool_down + 1):
             with router._adapt_lock:
                 router._apply_adaptation({})
-        assert router.topology.merges > merges_before
+        assert router.topology.describe()["merges"] > merges_before
         assert_fingerprints_equal(
             reference,
             query_fingerprint(adaptive, queries, k=10, strict=False),
@@ -717,7 +755,7 @@ class TestServiceEquivalence:
         for _ in range(20):
             for query in queries:
                 service.search(query, k=10)
-            if router.topology.splits:
+            if router.topology.describe()["splits"]:
                 break
-        assert router.topology.splits >= 1
+        assert router.topology.describe()["splits"] >= 1
         assert_crash_tolerant(service, queries, k=10)

@@ -94,7 +94,7 @@ class TestRoutedLookups:
         )
         value = network.lookup(source, key, lambda v: 0)
         assert value is None
-        assert router.stats.summary_skips >= 1
+        assert router.describe()["summary_skips"] >= 1
 
     def test_request_hops_bounded_by_hierarchy_depth(self):
         network, router = make_routed_network(num_peers=24, fanout=5)
@@ -126,13 +126,13 @@ class TestPathCache:
         key = frozenset({"delta", "epsilon"})
         insert(network, "peer-000", key, [1, 2])
         first = network.lookup("peer-007", key, lambda v: len(v or []))
-        hits_before = router.stats.cache_hits
+        hits_before = router.describe()["path_cache_hits"]
         with network.accounting.measure() as window:
             second = network.lookup(
                 "peer-007", key, lambda v: len(v or [])
             )
         assert second == first
-        assert router.stats.cache_hits == hits_before + 1
+        assert router.describe()["path_cache_hits"] == hits_before + 1
         # Answered at the home super-peer: response is a single hop and
         # still carries the full payload.
         response = window.delta.messages_by_kind[MessageKind.RESPONSE]
@@ -143,9 +143,9 @@ class TestPathCache:
         network, router = make_routed_network(use_summaries=False)
         key = frozenset({"never-inserted"})
         assert network.lookup("peer-002", key, lambda v: 0) is None
-        hits_before = router.stats.cache_hits
+        hits_before = router.describe()["path_cache_hits"]
         assert network.lookup("peer-003", key, lambda v: 0) is None
-        assert router.stats.cache_hits == hits_before + 1
+        assert router.describe()["path_cache_hits"] == hits_before + 1
 
     def test_insert_invalidates_cached_entry(self):
         network, router = make_routed_network()
@@ -182,8 +182,8 @@ class TestPathCache:
         insert(network, "peer-000", key, [5])
         for _ in range(3):
             network.lookup("peer-006", key, lambda v: len(v or []))
-        assert router.stats.cache_hits == 0
-        assert router.stats.cache_misses == 0
+        assert router.describe()["path_cache_hits"] == 0
+        assert router.describe()["path_cache_misses"] == 0
 
 
 class TestSummaries:
@@ -199,7 +199,7 @@ class TestSummaries:
         with network.accounting.measure() as window:
             value = network.lookup(source, key, lambda v: 0)
         assert value is None
-        assert router.stats.summary_skips == 1
+        assert router.describe()["summary_skips"] == 1
         assert window.delta.total_postings == 0
         assert window.delta.total_hops <= 3  # <= 2 request + 1 response
 
@@ -243,8 +243,8 @@ class TestStatsAndDescribe:
         key = frozenset({"iota"})
         insert(network, "peer-000", key, [1])
         network.lookup("peer-001", key, lambda v: len(v or []))
-        assert router.stats.inserts == 1
-        assert router.stats.lookups == 1
+        assert router.describe()["inserts"] == 1
+        assert router.describe()["lookups"] == 1
 
     def test_describe_merges_topology_and_cache_stats(self):
         network, router = make_routed_network()
@@ -261,12 +261,13 @@ class TestStatsAndDescribe:
 
     def test_membership_batch_coalesces_rebuilds(self):
         network, router = make_routed_network(8, fanout=3)
-        rebuilds = router.topology.rebuilds
+        rebuilds = router.topology.describe()["rebuilds"]
         with network.membership_batch():
             for name in ("wave-a", "wave-b", "wave-c"):
                 network.add_peer(name)
-            assert router.topology.rebuilds == rebuilds  # deferred
-        assert router.topology.rebuilds == rebuilds + 1
+            # Deferred until the batch closes.
+            assert router.topology.describe()["rebuilds"] == rebuilds
+        assert router.topology.describe()["rebuilds"] == rebuilds + 1
         members = {m for c in router.topology.clusters for m in c.members}
         assert network.id_of("wave-c") in members
 

@@ -106,11 +106,11 @@ class TestMaintenanceAccounting:
     def test_rebuild_recounts_membership(self):
         network = make_network(6)
         topology = SuperPeerTopology(network, fanout=2)
-        assert topology.rebuilds == 1
+        assert topology.describe()["rebuilds"] == 1
         network.add_peer("peer-joiner")
         # No router installed: rebuild is the caller's responsibility.
         topology.rebuild()
-        assert topology.rebuilds == 2
+        assert topology.describe()["rebuilds"] == 2
         joiner = network.id_of("peer-joiner")
         assert joiner in topology.cluster_of_peer(joiner).members
 

@@ -96,7 +96,7 @@ class TestWritePath:
 
     def test_direct_apply_without_origin_is_anonymous(self, replicated):
         net, manager = replicated
-        net.apply_insert("k", lambda cur: "v")
+        net.apply_insert("k", net.key_id("k"), lambda cur: "v")
         assert manager.export_state()["origin_seqs"] == {
             str(ANONYMOUS_ORIGIN): 1
         }
